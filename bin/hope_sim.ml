@@ -565,18 +565,13 @@ let replication_cmd =
 (* ----------------------------- phold ------------------------------ *)
 
 let phold_cmd =
+  let engines =
+    [ ("sequential", `Seq); ("timewarp", `Tw); ("hope", `Hope); ("parallel", `Par) ]
+  in
   let engine_arg =
     Arg.(
       value
-      & opt
-          (enum
-             [
-               ("sequential", `Seq);
-               ("timewarp", `Tw);
-               ("hope", `Hope);
-               ("parallel", `Par);
-             ])
-          `Tw
+      & opt (enum engines) `Tw
       & info [ "engine" ]
           ~doc:
             "sequential, timewarp, hope, or parallel (sharded Time Warp \
@@ -612,52 +607,48 @@ let phold_cmd =
   let run seed engine n_lps jobs remote_prob horizon domains grain opts =
     let p = { Phold.default_params with n_lps; jobs; remote_prob; horizon } in
     let engine = if domains > 1 && engine <> `Par then `Par else engine in
-    (* Fail fast on observability flags the selected engine cannot honor,
-       with the full support matrix — a silent empty export is worse than
-       an error. *)
-    let engine_name =
-      match engine with
-      | `Seq -> "sequential"
-      | `Tw -> "timewarp"
-      | `Hope -> "hope"
-      | `Par -> "parallel"
+    (* The engine x flag support matrix: each observability flag, whether
+       it was given, and the engines that honor it. Fail fast on a flag
+       the selected engine cannot honor, printing the matrix — a silent
+       empty export is worse than an error. *)
+    let support =
+      [
+        ("--trace", Option.is_some opts.trace_file, [ `Hope; `Par ]);
+        ("--metrics", Option.is_some opts.metrics_file, [ `Hope; `Par ]);
+        ("--watch", Option.is_some opts.watch, [ `Hope; `Par ]);
+        ("--health", opts.health, [ `Hope; `Par ]);
+        ("--check", opts.check, [ `Hope ]);
+        ("--governor", Option.is_some opts.governor, [ `Hope ]);
+      ]
     in
-    let requested =
-      List.filter_map
-        (fun (flag, on) -> if on then Some flag else None)
-        [
-          ("--trace", Option.is_some opts.trace_file);
-          ("--metrics", Option.is_some opts.metrics_file);
-          ("--watch", Option.is_some opts.watch);
-          ("--health", opts.health);
-          ("--check", opts.check);
-          ("--governor", Option.is_some opts.governor);
-        ]
-    in
-    let supported =
-      match engine with
-      | `Seq -> []
-      | `Tw -> [ "--trace" ]
-      | `Hope ->
-        [ "--trace"; "--metrics"; "--watch"; "--health"; "--check"; "--governor" ]
-      | `Par -> [ "--trace"; "--metrics"; "--watch"; "--health" ]
-    in
-    (match List.filter (fun f -> not (List.mem f supported)) requested with
+    (match
+       List.filter_map
+         (fun (flag, on, ok) ->
+           if on && not (List.mem engine ok) then Some flag else None)
+         support
+     with
     | [] -> ()
     | bad ->
+      let name e = fst (List.find (fun (_, e') -> e' = e) engines) in
       Printf.eprintf
-        "hope-sim: %s is not supported with --engine %s\n\
-         supported combinations:\n\
-        \  --trace                      timewarp, hope, parallel\n\
-        \  --metrics --watch --health   hope, parallel\n\
-        \  --check --governor           hope\n"
-        (String.concat " " bad) engine_name;
+        "hope-sim: %s is not supported with --engine %s\nsupported combinations:\n"
+        (String.concat " " bad) (name engine);
+      List.iter
+        (fun ok ->
+          let flags =
+            List.filter_map (fun (f, _, ok') -> if ok' = ok then Some f else None) support
+          in
+          Printf.eprintf "  %-36s %s\n" (String.concat " " flags)
+            (String.concat ", " (List.map name ok)))
+        (List.fold_left
+           (fun rows (_, _, ok) -> if List.mem ok rows then rows else rows @ [ ok ])
+           [] support);
       exit 1);
     let o =
       with_obs opts (fun ~obs ~tele ~on_setup ->
           match engine with
           | `Seq -> Phold.run_sequential p
-          | `Tw -> Phold.run_timewarp ~seed ~obs p
+          | `Tw -> Phold.run_timewarp ~seed p
           | `Hope -> Phold.run_hope ~seed ~obs ~on_setup p
           | `Par ->
             let o, r = Phold.run_parallel ~domains ~seed ~grain p in

@@ -85,8 +85,8 @@ let run_sequential p =
 (* Time Warp                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let run_timewarp ?(seed = 42) ?obs p =
-  let engine = Engine.create ~seed ?obs () in
+let run_timewarp ?(seed = 42) p =
+  let engine = Engine.create ~seed () in
   let cfg =
     {
       Timewarp.n_lps = p.n_lps;

@@ -43,7 +43,7 @@ val run_sequential : params -> outcome
 (** The conservative reference execution (zero-cost oracle: [processed],
     [messages] count model events; [physical_time] is 0). *)
 
-val run_timewarp : ?seed:int -> ?obs:Hope_obs.Recorder.t -> params -> outcome
+val run_timewarp : ?seed:int -> params -> outcome
 
 val shard_spec : ?grain:int -> params -> (lp_state, Job.t) Hope_shard.Shard.spec
 (** The PHOLD model packaged for the sharded executor. [grain] (default
