@@ -638,15 +638,17 @@ let micro () =
 
 (* --------------------------------------------------------------- *)
 (* TAGGING: the dependency-set data path (hash-consed hybrid sets    *)
-(* + History cumulative cache vs the seed's per-send Set.Make fold). *)
+(* + History cumulative cache vs the seed's per-send Set.Make fold), *)
+(* and DOM registration in the AID machine.                          *)
 (* --------------------------------------------------------------- *)
 
 let tagging () =
-  header "TAGGING: cumulative-tag-set cost per speculative send"
+  header "TAGGING: cumulative-tag-set cost per speculative send, DOM cost per Guess"
     "every speculative send tags the message with the union of all live \
      IDO sets; the hash-consed sets plus the History cache must cut \
      allocations per tagged send by >=2x at depth 64 versus the previous \
-     per-send Set.Make fold";
+     per-send Set.Make fold; and a Guess into an AID costs the same at any \
+     DOM size (<=3x from 64 to 4096 registered intervals)";
   let open Hope_types in
   let module History = Hope_core.History in
   let module Tree = Set.Make (struct
@@ -728,7 +730,75 @@ let tagging () =
     [
       jint "unions_memoized" stats.Aid_set.unions_memoized;
       jint "unions_computed" stats.Aid_set.unions_computed;
-    ]
+    ];
+  (* DOM registration: a Guess into a Hot AID must cost the same whatever
+     its DOM already holds. A sample primes [4096 / dom] AIDs with [dom]
+     Guesses each (untimed), then times the next [dom / 4] Guesses into
+     every one of them: at these power-of-two sizes the registry doubles
+     inside that window, so its growth is amortised as it is in a run.
+     Timed Guesses name ids no AID has seen, so no memoized union can
+     answer them. Words are minor plus direct-major: arrays of 256 words
+     or more skip the minor heap. *)
+  let module M = Hope_core.Aid_machine in
+  let clock = Bechamel.Toolkit.Monotonic_clock.make () in
+  let now () = Bechamel.Toolkit.Monotonic_clock.get clock in
+  (* an odd multiplier permutes [0, 2^16): ids arrive out of order *)
+  let iid owner k =
+    Interval_id.make ~owner:(Proc_id.of_int owner) ~seq:((k * 40503) land 0xFFFF)
+  in
+  let no_reply _ _ _ = () in
+  let fresh_owner = ref 0 in
+  let sample dom =
+    let machines = 4096 / dom and window = dom / 4 in
+    let ms =
+      Array.init machines (fun _ ->
+          let m = M.create (aid 0) in
+          for k = 0 to dom - 1 do
+            M.handle_into m (Wire.Guess { iid = iid 0 k }) ~reply:no_reply
+          done;
+          m)
+    in
+    let guesses =
+      Array.init machines (fun _ ->
+          incr fresh_owner;
+          Array.init window (fun k -> Wire.Guess { iid = iid !fresh_owner k }))
+    in
+    Gc.minor ();
+    let _, p0, j0 = Gc.counters () in
+    let w0 = Gc.minor_words () in
+    let t0 = now () in
+    Array.iteri
+      (fun i m -> Array.iter (fun g -> M.handle_into m g ~reply:no_reply) guesses.(i))
+      ms;
+    let w1 = Gc.minor_words () in
+    (* young arrays pay their promotion, as large ones pay the major heap *)
+    Gc.minor ();
+    let t1 = now () in
+    let _, p1, j1 = Gc.counters () in
+    let n = float_of_int (machines * window) in
+    ((t1 -. t0) /. n, (w1 -. w0) /. n, (j1 -. j0 -. (p1 -. p0)) /. n)
+  in
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  Printf.printf "\n%-6s %-26s %12s %18s %18s\n" "dom" "implementation" "ns/guess"
+    "minor words/guess" "major words/guess";
+  let ns_at =
+    List.map
+      (fun dom ->
+        let samples = List.init 7 (fun _ -> sample dom) in
+        let ns = median (List.map (fun (t, _, _) -> t) samples)
+        and minor = median (List.map (fun (_, w, _) -> w) samples)
+        and major = median (List.map (fun (_, _, w) -> w) samples) in
+        Printf.printf "%-6d %-26s %12.1f %18.1f %18.1f\n" dom "append-only registry" ns
+          minor major;
+        row "tagging"
+          ~key:[ jint "dom" dom; jstr "impl" "dom_registry" ]
+          [ jfloat "ns_per_guess" ns; jfloat "alloc_words_per_guess" (minor +. major) ];
+        (dom, ns))
+      [ 64; 4096 ]
+  in
+  gate "tagging" "dom=4096 ns_per_guess <= 3 * dom=64 ns_per_guess"
+    (List.assoc 4096 ns_at) Gate.Le
+    (3.0 *. List.assoc 64 ns_at)
 
 (* --------------------------------------------------------------- *)
 (* EVENTS: the event-queue spine itself — the seed's boxed binary    *)

@@ -3,10 +3,18 @@ open Hope_types
 type state = Cold | Hot | Maybe | True_ | False_
 type mode = Optimistic | Pessimistic
 
+(* DOM as an append-only registry of [Interval_id.index]es, whose int
+   order is [Interval_id.compare]'s. A Guess appends in amortised O(1);
+   the live prefix [ids.(0 .. len-1)] is sorted and de-duplicated only
+   when it is broadcast ([sorted] says it already is), so replies go out
+   in the order an [Interval_id.Set] would iterate. Nothing is hashed or
+   shared: DOM is never unioned with or compared to another set. *)
+type dom = { mutable ids : int array; mutable len : int; mutable sorted : bool }
+
 type t = {
   aid : Aid.t;
   mutable state : state;
-  mutable dom : Interval_id.Set.t;
+  dom : dom;
   mutable a_ido : Aid.Set.t;
   mutable affirmer : Interval_id.t option;
       (** the interval whose speculative affirm put us in [Maybe] *)
@@ -44,7 +52,7 @@ let create ?(strict = false) ?(on_transition = no_transition) ?(max_queue = 64)
   {
     aid;
     state = Cold;
-    dom = Interval_id.Set.empty;
+    dom = { ids = [||]; len = 0; sorted = true };
     a_ido = Aid.Set.empty;
     affirmer = None;
     strict;
@@ -82,6 +90,55 @@ let user_error t what =
          (Printf.sprintf "%s: %s while %s" (Aid.to_string t.aid) what
             (state_name t.state)))
 
+(* Append [iid]. An id above the last one keeps the prefix sorted and a
+   repeat of the last one is dropped, so in-order registration never
+   needs the sort at broadcast. *)
+let dom_add d iid =
+  let i = Interval_id.index iid in
+  let c = if d.len = 0 then -1 else Int.compare d.ids.(d.len - 1) i in
+  if c <> 0 then begin
+    if d.len = Array.length d.ids then begin
+      let ids = Array.make (max 8 (2 * d.len)) 0 in
+      Array.blit d.ids 0 ids 0 d.len;
+      d.ids <- ids
+    end;
+    d.ids.(d.len) <- i;
+    d.len <- d.len + 1;
+    if c > 0 then d.sorted <- false
+  end
+
+(* A sorted, de-duplicated copy of the live prefix ([Array.stable_sort]
+   sorts whole arrays), and how many of its slots are live. *)
+let sorted_unique d =
+  let ids = Array.sub d.ids 0 d.len in
+  Array.stable_sort Int.compare ids;
+  let k = ref (min 1 d.len) in
+  for i = 1 to d.len - 1 do
+    if ids.(i) <> ids.(!k - 1) then begin
+      ids.(!k) <- ids.(i);
+      incr k
+    end
+  done;
+  (ids, !k)
+
+let dom_normalise d =
+  if not d.sorted then begin
+    let ids, len = sorted_unique d in
+    d.ids <- ids;
+    d.len <- len;
+    d.sorted <- true
+  end
+
+(* Every DOM member once, in [Interval_id.compare] order. *)
+let dom_iter f d =
+  dom_normalise d;
+  let ids = d.ids in
+  for i = 0 to d.len - 1 do
+    f (Interval_id.of_index ids.(i))
+  done
+
+let dom_size t = if t.dom.sorted then t.dom.len else snd (sorted_unique t.dom)
+
 (* Figure 6: Guess message processing. A Guess is a request for the
    terminal state of the AID; until that state is known the sender is
    recorded in DOM. In state Maybe the AID "passes the buck": the sender
@@ -89,9 +146,9 @@ let user_error t what =
 let process_guess t iid ~reply =
   match t.state with
   | Cold ->
-    t.dom <- Interval_id.Set.singleton iid;
+    dom_add t.dom iid;
     set_state t Hot
-  | Hot -> t.dom <- Interval_id.Set.add iid t.dom
+  | Hot -> dom_add t.dom iid
   | Maybe ->
     (* The sender is told to depend on A_IDO instead ("passing the buck"),
        but is still recorded in DOM — a deviation from Figure 6 required
@@ -99,7 +156,7 @@ let process_guess t iid ~reply =
        rewired dependent must be reachable for the Rebind. Harmless
        otherwise: terminal-state broadcasts to an already-rewired
        dependent are ignored as duplicates by Control. *)
-    t.dom <- Interval_id.Set.add iid t.dom;
+    dom_add t.dom iid;
     reply t.aid iid (Wire.Replace { iid; ido = t.a_ido })
   | True_ -> reply t.aid iid (Wire.Replace { iid; ido = Aid.Set.empty })
   | False_ -> reply t.aid iid (Wire.Rollback { iid })
@@ -120,9 +177,7 @@ let process_affirm t iid ido ~reply =
       set_state t Maybe;
       t.affirmer <- Some iid
     end;
-    Interval_id.Set.iter
-      (fun b -> reply t.aid b (Wire.Replace { iid = b; ido }))
-      t.dom
+    dom_iter (fun b -> reply t.aid b (Wire.Replace { iid = b; ido })) t.dom
   | True_ -> t.redundant <- t.redundant + 1
   | False_ -> user_error t "Affirm after Deny"
 
@@ -229,7 +284,7 @@ let process_deny t ~reply =
   match t.state with
   | Cold | Hot | Maybe ->
     set_state t False_;
-    Interval_id.Set.iter (fun b -> reply t.aid b (Wire.Rollback { iid = b })) t.dom;
+    dom_iter (fun b -> reply t.aid b (Wire.Rollback { iid = b })) t.dom;
     abort_all_waiters t ~reply
   | False_ -> t.redundant <- t.redundant + 1
   | True_ -> user_error t "Deny after Affirm"
@@ -250,7 +305,7 @@ let process_revoke t iid ~reply =
     (* Every dependent was told to depend on A_IDO instead of us; that
        rewiring is now void — they must depend on us again, or they can
        hang on a chain no surviving execution will resolve. *)
-    Interval_id.Set.iter (fun b -> reply t.aid b (Wire.Rebind { iid = b })) t.dom
+    dom_iter (fun b -> reply t.aid b (Wire.Rebind { iid = b })) t.dom
   | Cold | Hot | Maybe | True_ | False_ -> t.redundant <- t.redundant + 1
 
 (* Replies are emitted through the callback (called as
@@ -289,7 +344,9 @@ let retire t =
       (Printf.sprintf "Aid_machine.retire: %s is still %s" (Aid.to_string t.aid)
          (state_name t.state));
   t.retired <- true;
-  t.dom <- Interval_id.Set.empty;
+  t.dom.ids <- [||];
+  t.dom.len <- 0;
+  t.dom.sorted <- true;
   t.a_ido <- Aid.Set.empty
 
 let mode t = t.mode
@@ -300,7 +357,7 @@ let mode_name = function Optimistic -> "optimistic" | Pessimistic -> "pessimisti
 let pp ppf t =
   Format.fprintf ppf "%a[%s dom=%d a_ido=%a%s]" Aid.pp t.aid
     (state_name t.state)
-    (Interval_id.Set.cardinal t.dom)
+    (dom_size t)
     Aid.Set.pp t.a_ido
     (match t.mode with
     | Optimistic -> ""

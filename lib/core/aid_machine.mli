@@ -33,11 +33,18 @@ open Hope_types
 type state = Cold | Hot | Maybe | True_ | False_
 type mode = Optimistic | Pessimistic
 
+type dom
+(** An append-only registry of interval ids: a Guess appends in
+    amortised O(1), and the registry is sorted by {!Interval_id.compare}
+    and de-duplicated only when it is broadcast. Read its size with
+    {!dom_size}. *)
+
 type t = {
   aid : Aid.t;
   mutable state : state;
-  mutable dom : Interval_id.Set.t;
-      (** DOM — "Depends On Me": intervals contingent on this AID *)
+  dom : dom;
+      (** DOM — "Depends On Me": intervals contingent on this AID,
+          notified in {!Interval_id.compare} order *)
   mutable a_ido : Aid.Set.t;
       (** A_IDO — "Affirm I-Depend-On": AIDs that predicate the affirm *)
   mutable affirmer : Interval_id.t option;
@@ -109,6 +116,9 @@ val handle : t -> Wire.t -> action list
 
 val is_final : t -> bool
 (** True in states [True_] and [False_]. *)
+
+val dom_size : t -> int
+(** Distinct intervals in DOM. *)
 
 val retire : t -> unit
 (** Reclaim the tracking sets of a terminal machine (the garbage

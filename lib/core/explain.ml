@@ -41,7 +41,7 @@ type building = {
 let of_runtime rt =
   let intervals : (Interval_id.t, building) Hashtbl.t = Hashtbl.create 64 in
   let order : Interval_id.t list ref = ref [] in
-  List.iter
+  Runtime.iter_events
     (fun ev ->
       match ev with
       | Runtime.Interval_started { iid; kind; ido; at } ->
@@ -70,7 +70,7 @@ let of_runtime rt =
       | Runtime.Aid_created _ | Runtime.Affirm_sent _ | Runtime.Deny_sent _
       | Runtime.Deny_buffered _ | Runtime.Free_of_hit _ | Runtime.Free_of_miss _ ->
         ())
-    (Runtime.events rt);
+    rt;
   let by_process = Hashtbl.create 16 in
   List.iter
     (fun iid ->

@@ -22,7 +22,7 @@ type fact = {
 
 let interval_facts rt =
   let facts : (Interval_id.t, fact) Hashtbl.t = Hashtbl.create 64 in
-  List.iter
+  Runtime.iter_events
     (fun ev ->
       match ev with
       | Runtime.Interval_started { iid; ido; _ } ->
@@ -43,7 +43,7 @@ let interval_facts rt =
       | Runtime.Aid_created _ | Runtime.Affirm_sent _ | Runtime.Deny_sent _
       | Runtime.Deny_buffered _ | Runtime.Free_of_hit _ | Runtime.Free_of_miss _ ->
         ())
-    (Runtime.events rt);
+    rt;
   facts
 
 let aid_final_state rt aid =

@@ -290,7 +290,7 @@ let live_intervals t =
 
 let cycle_cuts t = !(t.cuts)
 
-let events t = Vec.to_list t.event_log
+let iter_events f t = Vec.iter f t.event_log
 
 (* -------------------- AID garbage collection ---------------------- *)
 

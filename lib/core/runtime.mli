@@ -175,7 +175,8 @@ type event =
       (** Algorithm 2 discarded a replacement: [iid] had already depended
           on [aid] (UDO hit — a dependency cycle, §5.3) *)
 
-val events : t -> event list
-(** Oldest first; empty unless [record_events]. *)
+val iter_events : (event -> unit) -> t -> unit
+(** Walk the event log in place, oldest first; empty unless
+    [record_events]. *)
 
 val pp_event : Format.formatter -> event -> unit

@@ -24,14 +24,14 @@ end
    for the runtime's definite interval, which uses seq = -1. Indices are
    sparse (owners stride by 2^31), so the set sticks to the sorted-array
    layout (dense = false). *)
+let index t = (Proc_id.to_int t.owner lsl 31) lor (t.seq + 1)
+let of_index i = { owner = Proc_id.of_int (i lsr 31); seq = (i land 0x7FFF_FFFF) - 1 }
+
 module Set = Aid_set.Make (struct
   type nonrec t = t
 
-  let index t = (Proc_id.to_int t.owner lsl 31) lor (t.seq + 1)
-
-  let of_index i =
-    { owner = Proc_id.of_int (i lsr 31); seq = (i land 0x7FFF_FFFF) - 1 }
-
+  let index = index
+  let of_index = of_index
   let pp = pp
   let dense = false
 end)

@@ -21,9 +21,17 @@ val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
+val index : t -> int
+(** [t] packed into one int, order-preservingly: for sequence numbers
+    from -1 (the definite interval) up, [Int.compare (index a) (index b)]
+    is [compare a b]. *)
+
+val of_index : int -> t
+(** The inverse of {!index}. *)
+
 module Set : Aid_set.S with type elt = t
-(** Hash-consed sets of interval ids (sorted-array layout; see
-    {!Aid_set}), used for [Aid_machine.dom]. Iteration order matches
-    {!compare} (owner-major, then sequence number). *)
+(** Hash-consed sets of interval ids (sorted-array layout, keyed by
+    {!index}; see {!Aid_set}). Iteration order matches {!compare}
+    (owner-major, then sequence number). *)
 
 module Map : Map.S with type key = t

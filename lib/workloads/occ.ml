@@ -428,12 +428,13 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
                 Format.eprintf "%a@." Hope_core.Aid_machine.pp
                   (Runtime.aid_machine rt a))
               (Runtime.all_aids rt);
-            let evs = Runtime.events rt in
-            let n = List.length evs in
-            List.iteri
-              (fun i e ->
-                if i >= n - 60 || Sys.getenv_opt "HOPE_OCC_DEBUG_ALL" <> None then Format.eprintf "%a@." Runtime.pp_event e)
-              evs
+            let n = ref 0 and i = ref 0 in
+            Runtime.iter_events (fun _ -> incr n) rt;
+            Runtime.iter_events
+              (fun e ->
+                if !i >= !n - 60 || Sys.getenv_opt "HOPE_OCC_DEBUG_ALL" <> None then Format.eprintf "%a@." Runtime.pp_event e;
+                incr i)
+              rt
           end;
           failwith
             (Printf.sprintf "occ client %s did not terminate (status %s)"

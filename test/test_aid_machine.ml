@@ -32,7 +32,7 @@ let test_guess_cold_to_hot () =
   let actions = M.handle t (guess 1) in
   Alcotest.(check int) "no replies" 0 (List.length actions);
   state_is t "Hot";
-  Alcotest.(check int) "DOM records the guess" 1 (Interval_id.Set.cardinal t.M.dom)
+  Alcotest.(check int) "DOM records the guess" 1 (M.dom_size t)
 
 let test_guess_hot_accumulates_dom () =
   let t = M.create (aid_of 0) in
@@ -40,7 +40,7 @@ let test_guess_hot_accumulates_dom () =
   ignore (M.handle t (guess 2));
   ignore (M.handle t (guess 3));
   state_is t "Hot";
-  Alcotest.(check int) "three dependents" 3 (Interval_id.Set.cardinal t.M.dom)
+  Alcotest.(check int) "three dependents" 3 (M.dom_size t)
 
 let test_guess_maybe_passes_the_buck () =
   let t = M.create (aid_of 0) in
@@ -55,7 +55,7 @@ let test_guess_maybe_passes_the_buck () =
       (Aid.Set.equal ido (aid_set [ 7 ]));
     (* Deviation from Figure 6: the sender IS recorded in DOM, so a later
        Revoke can reach it with a Rebind (see the mli). *)
-    Alcotest.(check int) "DOM gains the guesser" 2 (Interval_id.Set.cardinal t.M.dom)
+    Alcotest.(check int) "DOM gains the guesser" 2 (M.dom_size t)
   | _ -> Alcotest.fail "expected a single Replace reply"
 
 let test_guess_true_replies_empty_replace () =
@@ -225,7 +225,7 @@ let test_maybe_guess_joins_dom_for_rebind () =
   ignore (M.handle t (affirm ~ido:[ 5 ] 1));
   (* A guess during Maybe gets the Replace reply AND joins DOM... *)
   ignore (M.handle t (guess 3));
-  Alcotest.(check int) "guesser recorded" 1 (Interval_id.Set.cardinal t.M.dom);
+  Alcotest.(check int) "guesser recorded" 1 (M.dom_size t);
   (* ...so the revoke can rebind it. *)
   match M.handle t (revoke 1) with
   | [ M.Reply { iid = b; wire = Wire.Rebind _ } ] ->
@@ -630,7 +630,7 @@ let qcheck_commutation_or_first_ruling =
       let run msgs =
         let t = M.create (aid_of 0) in
         List.iter (fun m -> ignore (M.handle t m)) msgs;
-        (t.M.state, Interval_id.Set.cardinal t.M.dom)
+        (t.M.state, M.dom_size t)
       in
       let s12, _ = run [ m1; m2 ] and s21, _ = run [ m2; m1 ] in
       match (m1, m2) with
@@ -672,6 +672,112 @@ let qcheck_cold_hot_guesses_silent =
           | _ -> true)
         msgs)
 
+(* ------------------ DOM against a set-based model ----------------- *)
+
+(* The truth machine of Figures 5-8 plus Revoke, with DOM kept as an
+   [Interval_id.Set] — the representation the registry replaced. Its
+   replies are rendered as strings so a mismatch prints readably. *)
+type model = {
+  mutable m_state : M.state;
+  mutable m_dom : Interval_id.Set.t;
+  mutable m_a_ido : Aid.Set.t;
+  mutable m_affirmer : Interval_id.t option;
+}
+
+let render b wire = Format.asprintf "%a <- %a" Interval_id.pp b Wire.pp wire
+
+let model_step m wire =
+  let each f = List.map f (Interval_id.Set.elements m.m_dom) in
+  match (wire, m.m_state) with
+  | Wire.Guess { iid }, (M.Cold | M.Hot) ->
+    m.m_dom <- Interval_id.Set.add iid m.m_dom;
+    m.m_state <- M.Hot;
+    []
+  | Wire.Guess { iid }, M.Maybe ->
+    m.m_dom <- Interval_id.Set.add iid m.m_dom;
+    [ render iid (Wire.Replace { iid; ido = m.m_a_ido }) ]
+  | Wire.Guess { iid }, M.True_ -> [ render iid (Wire.Replace { iid; ido = Aid.Set.empty }) ]
+  | Wire.Guess { iid }, M.False_ -> [ render iid (Wire.Rollback { iid }) ]
+  | Wire.Affirm { iid; ido }, (M.Cold | M.Hot | M.Maybe) ->
+    m.m_a_ido <- ido;
+    if Aid.Set.is_empty ido then begin
+      m.m_state <- M.True_;
+      m.m_affirmer <- None
+    end
+    else begin
+      m.m_state <- M.Maybe;
+      m.m_affirmer <- Some iid
+    end;
+    each (fun b -> render b (Wire.Replace { iid = b; ido }))
+  | Wire.Deny _, (M.Cold | M.Hot | M.Maybe) ->
+    m.m_state <- M.False_;
+    each (fun b -> render b (Wire.Rollback { iid = b }))
+  | Wire.Revoke { iid }, M.Maybe when m.m_affirmer = Some iid ->
+    m.m_state <- M.Hot;
+    m.m_a_ido <- Aid.Set.empty;
+    m.m_affirmer <- None;
+    each (fun b -> render b (Wire.Rebind { iid = b }))
+  | _ -> []
+
+(* Guess-heavy streams over a small id space: owners 0-3 interleave,
+   sequence numbers 0-5 arrive in any order, and ids repeat; speculative
+   and definite Affirms, Denies and Revokes are mixed in. *)
+let arbitrary_dom_stream =
+  let open QCheck in
+  let id = Gen.map2 (fun owner seq -> Interval_id.make ~owner:(Proc_id.of_int owner) ~seq)
+      (Gen.int_bound 3) (Gen.int_bound 5) in
+  let msg =
+    Gen.frequency
+      [
+        (12, Gen.map (fun iid -> Wire.Guess { iid }) id);
+        ( 2,
+          Gen.map2
+            (fun iid aids -> Wire.Affirm { iid; ido = aid_set aids })
+            id
+            Gen.(list_size (int_range 1 3) (int_bound 5)) );
+        (1, Gen.map (fun iid -> Wire.Affirm { iid; ido = Aid.Set.empty }) id);
+        (1, Gen.map (fun iid -> Wire.Deny { iid }) id);
+        (2, Gen.map (fun iid -> Wire.Revoke { iid }) id);
+      ]
+  in
+  make
+    ~print:(fun l -> String.concat "; " (List.map (Format.asprintf "%a" Wire.pp) l))
+    Gen.(list_size (int_range 1 60) msg)
+
+let qcheck_dom_matches_set_model =
+  QCheck.Test.make ~name:"dom: replies and size match an Interval_id.Set model"
+    ~count:1000 arbitrary_dom_stream (fun msgs ->
+      let t = M.create (aid_of 0) in
+      let m =
+        { m_state = M.Cold; m_dom = Interval_id.Set.empty; m_a_ido = Aid.Set.empty;
+          m_affirmer = None }
+      in
+      List.iter
+        (fun wire ->
+          let got = List.map (fun (M.Reply { iid; wire }) -> render iid wire) (M.handle t wire) in
+          let want = model_step m wire in
+          if got <> want then
+            QCheck.Test.fail_reportf "after %a: replies@.  [%s]@.expected@.  [%s]" Wire.pp wire
+              (String.concat "; " got) (String.concat "; " want);
+          if M.dom_size t <> Interval_id.Set.cardinal m.m_dom then
+            QCheck.Test.fail_reportf "after %a: DOM size %d, model %d" Wire.pp wire
+              (M.dom_size t) (Interval_id.Set.cardinal m.m_dom))
+        msgs;
+      true)
+
+let test_retire_empties_dom () =
+  let t = M.create (aid_of 0) in
+  List.iter (fun i -> ignore (M.handle t (guess i))) [ 3; 1; 2; 1 ];
+  Alcotest.(check int) "three distinct guessers" 3 (M.dom_size t);
+  ignore (M.handle t (affirm 9));
+  M.retire t;
+  Alcotest.(check int) "retire empties DOM" 0 (M.dom_size t);
+  (match M.handle t (guess 4) with
+  | [ M.Reply { wire = Wire.Replace { ido; _ }; _ } ] ->
+    Alcotest.(check bool) "a retired True AID still answers" true (Aid.Set.is_empty ido)
+  | _ -> Alcotest.fail "expected Replace {}");
+  Alcotest.(check int) "terminal guesses are not recorded" 0 (M.dom_size t)
+
 let () =
   Alcotest.run "aid_machine"
     [
@@ -707,6 +813,11 @@ let () =
           test "revoke on terminal states ignored" test_revoke_on_terminal_ignored;
           test "Maybe guess joins DOM for rebind"
             test_maybe_guess_joins_dom_for_rebind;
+        ] );
+      ( "dom",
+        [
+          test "retire empties DOM" test_retire_empties_dom;
+          QCheck_alcotest.to_alcotest qcheck_dom_matches_set_model;
         ] );
       ( "overlay",
         [

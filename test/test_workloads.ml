@@ -85,6 +85,22 @@ let test_report_deterministic () =
     b.Report.completion_time;
   Alcotest.(check int) "same message count" a.Report.messages b.Report.messages
 
+(* The whole optimistic WAN trace, pinned: every message the AID machines
+   broadcast appears in it in emission order, so a change to DOM's
+   representation or broadcast order changes this digest. Regenerate the
+   constant only for a change that means to alter the trace. *)
+let test_report_wan_trace_pinned () =
+  let obs = Hope_obs.Recorder.create () in
+  Hope_obs.Recorder.enable obs;
+  let p = { Report.default_params with sections = 12 } in
+  ignore (Report.run ~seed:42 ~obs ~latency:Latency.wan ~mode:`Optimistic p : Report.result);
+  let chrome =
+    Hope_obs.Obs.export_string Hope_obs.Obs.Chrome (Hope_obs.Recorder.events obs)
+  in
+  Alcotest.(check string)
+    "chrome trace digest" "41fb32d267682e459005cafaae1dcdba"
+    (Digest.to_hex (Digest.string chrome))
+
 (* --------------------------- pipeline ----------------------------- *)
 
 let small_pipeline = { Pipeline.default_params with tasks = 20 }
@@ -331,6 +347,7 @@ let () =
           test "rollbacks track page breaks" test_report_rollbacks_match_page_breaks;
           test "non-FIFO ordering repaired" test_report_non_fifo_repairs_ordering;
           test "deterministic" test_report_deterministic;
+          test "WAN chrome trace pinned" test_report_wan_trace_pinned;
           QCheck_alcotest.to_alcotest qcheck_report_any_params;
         ] );
       ( "pipeline",
