@@ -639,16 +639,19 @@ let micro () =
 (* --------------------------------------------------------------- *)
 (* TAGGING: the dependency-set data path (hash-consed hybrid sets    *)
 (* + History cumulative cache vs the seed's per-send Set.Make fold), *)
-(* and DOM registration in the AID machine.                          *)
+(* DOM registration in the AID machine, and one-AID bitset edits.    *)
 (* --------------------------------------------------------------- *)
 
 let tagging () =
-  header "TAGGING: cumulative-tag-set cost per speculative send, DOM cost per Guess"
+  header
+    "TAGGING: cumulative-tag-set cost per speculative send, DOM cost per \
+     Guess, bitset edit cost"
     "every speculative send tags the message with the union of all live \
      IDO sets; the hash-consed sets plus the History cache must cut \
      allocations per tagged send by >=2x at depth 64 versus the previous \
-     per-send Set.Make fold; and a Guess into an AID costs the same at any \
-     DOM size (<=3x from 64 to 4096 registered intervals)";
+     per-send Set.Make fold; a Guess into an AID costs the same at any \
+     DOM size (<=3x from 64 to 4096 registered intervals); and adding or \
+     removing one AID of a 4096-AID bitset allocates at most card/8 words";
   let open Hope_types in
   let module History = Hope_core.History in
   let module Tree = Set.Make (struct
@@ -748,6 +751,22 @@ let tagging () =
   in
   let no_reply _ _ _ = () in
   let fresh_owner = ref 0 in
+  (* ns, minor words and direct-major words per op of [work ()], which
+     performs [ops] ops; young arrays pay their promotion, as large ones
+     pay the major heap *)
+  let per_op ops work =
+    Gc.minor ();
+    let _, p0, j0 = Gc.counters () in
+    let w0 = Gc.minor_words () in
+    let t0 = now () in
+    work ();
+    let w1 = Gc.minor_words () in
+    Gc.minor ();
+    let t1 = now () in
+    let _, p1, j1 = Gc.counters () in
+    let n = float_of_int ops in
+    ((t1 -. t0) /. n, (w1 -. w0) /. n, (j1 -. j0 -. (p1 -. p0)) /. n)
+  in
   let sample dom =
     let machines = 4096 / dom and window = dom / 4 in
     let ms =
@@ -763,20 +782,10 @@ let tagging () =
           incr fresh_owner;
           Array.init window (fun k -> Wire.Guess { iid = iid !fresh_owner k }))
     in
-    Gc.minor ();
-    let _, p0, j0 = Gc.counters () in
-    let w0 = Gc.minor_words () in
-    let t0 = now () in
-    Array.iteri
-      (fun i m -> Array.iter (fun g -> M.handle_into m g ~reply:no_reply) guesses.(i))
-      ms;
-    let w1 = Gc.minor_words () in
-    (* young arrays pay their promotion, as large ones pay the major heap *)
-    Gc.minor ();
-    let t1 = now () in
-    let _, p1, j1 = Gc.counters () in
-    let n = float_of_int (machines * window) in
-    ((t1 -. t0) /. n, (w1 -. w0) /. n, (j1 -. j0 -. (p1 -. p0)) /. n)
+    per_op (machines * window) (fun () ->
+        Array.iteri
+          (fun i m -> Array.iter (fun g -> M.handle_into m g ~reply:no_reply) guesses.(i))
+          ms)
   in
   let median l = List.nth (List.sort compare l) (List.length l / 2) in
   Printf.printf "\n%-6s %-26s %12s %18s %18s\n" "dom" "implementation" "ns/guess"
@@ -798,7 +807,38 @@ let tagging () =
   in
   gate "tagging" "dom=4096 ns_per_guess <= 3 * dom=64 ns_per_guess"
     (List.assoc 4096 ns_at) Gate.Le
-    (3.0 *. List.assoc 64 ns_at)
+    (3.0 *. List.assoc 64 ns_at);
+  (* Bitset edits: Replace handling adds and removes single AIDs of IDO
+     and UDO sets. A sample holds [card] AIDs at every other index (AIDs
+     interleave with user pids), a bitset of about card/31 words, and
+     adds then removes an absent AID inside its range, [edits] times; an
+     op is one add or one remove. An edit copies those words once, so its
+     cost grows with card/31, not with card. Words are minor plus
+     direct-major, as for the DOM rows. *)
+  let edits = 1024 in
+  let edit_sample card =
+    let s = Aid.Set.of_list (List.init card (fun k -> aid (2 * k))) in
+    let probes = Array.init edits (fun k -> aid ((2 * ((k * 97) mod card)) + 1)) in
+    per_op (2 * edits) (fun () ->
+        Array.iter (fun x -> ignore (Aid.Set.remove x (Aid.Set.add x s) : Aid.Set.t)) probes)
+  in
+  Printf.printf "\n%-6s %-26s %12s %18s %18s\n" "card" "implementation" "ns/op"
+    "minor words/op" "major words/op";
+  List.iter
+    (fun card ->
+      let samples = List.init 7 (fun _ -> edit_sample card) in
+      let ns = median (List.map (fun (t, _, _) -> t) samples)
+      and minor = median (List.map (fun (_, w, _) -> w) samples)
+      and major = median (List.map (fun (_, _, w) -> w) samples) in
+      Printf.printf "%-6d %-26s %12.1f %18.1f %18.1f\n" card "word-level bitset edit" ns
+        minor major;
+      row "tagging"
+        ~key:[ jint "card" card; jstr "impl" "bitset_edit" ]
+        [ jfloat "ns_per_op" ns; jfloat "alloc_words_per_op" (minor +. major) ];
+      if card = 4096 then
+        gate "tagging" "card=4096 alloc_words_per_op <= 512" (minor +. major) Gate.Le
+          (float_of_int card /. 8.0))
+    [ 64; 4096 ]
 
 (* --------------------------------------------------------------- *)
 (* EVENTS: the event-queue spine itself — the seed's boxed binary    *)

@@ -50,7 +50,16 @@ let handle_replace ?emit ?cut algorithm hist ~target ~sender ~ido ~on_cycle_cut 
       (match algorithm with
       | Algorithm_1 -> ()
       | Algorithm_2 -> itv.History.udo <- Aid.Set.add sender itv.History.udo);
-      let guesses =
+      let cycle_cut y =
+        let first = not itv.History.cut in
+        itv.History.cut <- true;
+        on_cycle_cut ~first target y
+      in
+      (* One ascending walk over the replacement set: each candidate is cut,
+         already a dependency, or fresh. The fresh ones (collected newest
+         first) join the IDO in one union after the walk, which no
+         candidate's test can observe: the candidates are distinct. *)
+      let fresh =
         Aid.Set.fold
           (fun y acc ->
             let in_udo =
@@ -61,7 +70,7 @@ let handle_replace ?emit ?cut algorithm hist ~target ~sender ~ido ~on_cycle_cut 
             if in_udo then begin
               (* Figure 15: the replacement is an AID we already walked
                  through — a dependency cycle. Discard it. *)
-              on_cycle_cut target y;
+              cycle_cut y;
               acc
             end
             else if
@@ -75,20 +84,21 @@ let handle_replace ?emit ?cut algorithm hist ~target ~sender ~ido ~on_cycle_cut 
               | None -> false
               | Some f -> f ~target ~sender ~candidate:y
             then begin
-              on_cycle_cut target y;
+              cycle_cut y;
               acc
             end
             else if Aid.Set.mem y itv.History.ido then
               (* Already dependent (and already registered in y's DOM). *)
               acc
-            else begin
-              itv.History.ido <- Aid.Set.add y itv.History.ido;
-              Send_guess { aid = y; iid = target } :: acc
-            end)
+            else y :: acc)
           ido []
-        |> List.rev
       in
-      guesses @ cascade_finalize hist
+      match fresh with
+      | [] -> cascade_finalize hist
+      | _ ->
+        itv.History.ido <- Aid.Set.union itv.History.ido (Aid.Set.of_list fresh);
+        List.rev_map (fun aid -> Send_guess { aid; iid = target }) fresh
+        @ cascade_finalize hist
     end
 
 (* The speculative affirm that rewired [target]'s dependency on [sender]

@@ -50,19 +50,28 @@ val handle_replace :
   target:Interval_id.t ->
   sender:Aid.t ->
   ido:Aid.Set.t ->
-  on_cycle_cut:(Interval_id.t -> Aid.t -> unit) ->
+  on_cycle_cut:(first:bool -> Interval_id.t -> Aid.t -> unit) ->
   action list
 (** Apply a [<Replace, target, ido>] from AID [sender]. Stale messages
     (the target interval is no longer live, or the sender is not among its
-    dependencies) are ignored. [on_cycle_cut] is called as
-    [on_cycle_cut target aid] with every replacement AID discarded by the
-    UDO check — [target] is passed back so the caller can use one
-    long-lived callback instead of closing over the interval per message.
-    [cut], when given, is consulted for every replacement candidate the
-    UDO check let through (under either algorithm): returning [true]
-    discards the candidate through the same [on_cycle_cut] path — this is
-    the governor's dynamic cycle-cut actuator, which rules on observed
-    Replace-orbit churn instead of the static walk-through set. [emit],
+    dependencies) are ignored. The replacement set is walked once, in
+    ascending AID order, and every candidate the walk discards is reported
+    as it is discarded: [on_cycle_cut ~first target aid], so cuts arrive
+    in ascending order. [first] is [true] exactly on the interval's first
+    cut — the interval's {!History.interval.cut} flag was still clear —
+    and the flag is set before the call; a caller that logs one fact per
+    interval tests [first] instead of keeping its own table. [target] is
+    passed back so the caller can use one long-lived callback instead of
+    closing over the interval per message. Under Algorithm 2 a candidate
+    in the interval's UDO is cut. [cut], when given, is consulted for
+    every candidate the UDO check let through (under either algorithm),
+    in the same ascending order: returning [true] discards the candidate
+    through the same [on_cycle_cut] path — this is the governor's dynamic
+    cycle-cut actuator, which rules on observed Replace-orbit churn
+    instead of the static walk-through set. The remaining candidates the
+    interval does not yet depend on join its IDO in one union after the
+    walk, and one {!Send_guess} per such AID leads the returned actions,
+    in ascending order. [emit],
     when given, observes the dependency resolution as a
     {!Hope_obs.Event.Dep_resolved} whose [remaining] counts the IDO
     entries left after removing [sender] (before any replacement AIDs are

@@ -10,6 +10,7 @@ type interval = {
   mutable udo : Aid.Set.t;
   mutable iha : Aid.Set.t;
   mutable ihd : Aid.Set.t;
+  mutable cut : bool;
 }
 
 (* Live intervals are [buf.(head) .. buf.(head + len - 1)], oldest first.
@@ -135,6 +136,7 @@ let push t ~kind ~ido ~now =
       udo = Aid.Set.empty;
       iha = Aid.Set.empty;
       ihd = Aid.Set.empty;
+      cut = false;
     }
   in
   (* Capture cache validity before the window moves. *)

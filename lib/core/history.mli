@@ -34,6 +34,10 @@ type interval = {
   mutable udo : Aid.Set.t;
   mutable iha : Aid.Set.t;
   mutable ihd : Aid.Set.t;
+  mutable cut : bool;
+      (** some Replace candidate was discarded as a cycle cut while the
+          interval was live; set by [Control.handle_replace], which uses it
+          to tell the cut callback which cut is the interval's first *)
 }
 
 type t

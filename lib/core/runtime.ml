@@ -154,7 +154,7 @@ type t = {
   definite_iids : (Proc_id.t, Interval_id.t) Hashtbl.t;
       (* per-process definite interval id (seq = -1), cached so definite
          affirms/denies do not rebuild the same record every time *)
-  mutable cycle_cut : Interval_id.t -> Aid.t -> unit;
+  mutable cycle_cut : first:bool -> Interval_id.t -> Aid.t -> unit;
       (* the one [Control.handle_replace ~on_cycle_cut] callback, built at
          [install] — Replace handling is per-message hot *)
   mutable aid_reply : Aid.t -> Interval_id.t -> Wire.t -> unit;
@@ -648,7 +648,7 @@ let install sched ?(config = default_config) () =
       known_true = Hashtbl.create 64;
       known_false = Hashtbl.create 64;
       definite_iids = Hashtbl.create 64;
-      cycle_cut = (fun _ _ -> ());
+      cycle_cut = (fun ~first:_ _ _ -> ());
       aid_reply = (fun _ _ _ -> ());
       aid_transition = (fun _ _ _ -> ());
       gov = None;
@@ -670,12 +670,14 @@ let install sched ?(config = default_config) () =
              { aid; from_ = obs_state from_; to_ = obs_state to_ }));
   (* An interval id's owner is the process whose history holds it, so the
      cycle-cut callback recovers the acting process from [iid] — one
-     closure for the runtime's lifetime instead of one per Replace. *)
+     closure for the runtime's lifetime instead of one per Replace. The
+     counters and the obs stream see every cut; the log keeps one entry
+     per cut interval, which is all its readers ask of it. *)
   t.cycle_cut <-
-    (fun iid aid ->
+    (fun ~first iid aid ->
       incr t.cuts;
       Metrics.incr t.rm.c_cycle_cuts;
-      record t (Cycle_cut { iid; aid });
+      if first then record t (Cycle_cut { iid; aid });
       if obs_on t then
         emit t ~proc:(Interval_id.owner iid) (Hope_obs.Event.Cycle_cut { iid; aid }));
   let hooks =

@@ -137,7 +137,9 @@ val live_intervals : t -> int
 (** Total live speculative intervals across all processes. *)
 
 val cycle_cuts : t -> int
-(** Dependencies discarded by Algorithm 2's UDO check so far. *)
+(** Replace candidates discarded as cycle cuts so far — by Algorithm 2's
+    UDO check or by a governor's [cut_replace] — counting every cut, also
+    the repeated cuts of one interval that the event log records once. *)
 
 (** {1 AID garbage collection (§5.2)} *)
 
@@ -172,8 +174,12 @@ type event =
   | Free_of_hit of { aid : Aid.t }  (** free_of found a dependency: denied *)
   | Free_of_miss of { aid : Aid.t }  (** free_of found none: affirmed *)
   | Cycle_cut of { iid : Interval_id.t; aid : Aid.t }
-      (** Algorithm 2 discarded a replacement: [iid] had already depended
-          on [aid] (UDO hit — a dependency cycle, §5.3) *)
+      (** the interval's first cycle cut: a Replace candidate [aid] was
+          discarded, because [iid] had already depended on it (UDO hit —
+          a dependency cycle, §5.3) or a governor ruled it one. Logged
+          once per interval, on its first cut; later cuts of the same
+          interval are counted by {!cycle_cuts}, [hope.cycle_cuts] and
+          the obs stream but not logged *)
 
 val iter_events : (event -> unit) -> t -> unit
 (** Walk the event log in place, oldest first; empty unless

@@ -109,6 +109,45 @@ module Make (E : ELT) = struct
     let rec go w n = if w = 0 then n else go (w land (w - 1)) (n + 1) in
     go w0 0
 
+  (* Trailing zeros of a one-bit word: the population count of the ones
+     below its bit. [b - 1] < 2^62, so the 64-bit SWAR masks fit an OCaml
+     int, and the byte sum (at most 62) fits the product's top byte. *)
+  let ctz_bit b =
+    let x = b - 1 in
+    let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+    let x =
+      (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
+    in
+    let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+    (x * 0x0101_0101_0101_0101) lsr 56
+
+  (* Fold [f] over the member indices of a bitset, ascending. Each word is
+     walked by its set bits, lowest first, instead of testing all 63
+     positions. *)
+  let fold_bits f off words acc =
+    let acc = ref acc in
+    for wi = 0 to Array.length words - 1 do
+      let base = (off + wi) * bits_per_word in
+      let w = ref words.(wi) in
+      while !w <> 0 do
+        let low = !w land - !w in
+        acc := f (base + ctz_bit low) !acc;
+        w := !w lxor low
+      done
+    done;
+    !acc
+
+  let bits_to_array card off words =
+    let out = Array.make card 0 in
+    ignore
+      (fold_bits
+         (fun x k ->
+           out.(k) <- x;
+           k + 1)
+         off words 0
+        : int);
+    out
+
   (* ------------------------------------------------------------------ *)
   (* Hash-consing                                                        *)
   (* ------------------------------------------------------------------ *)
@@ -154,21 +193,7 @@ module Make (E : ELT) = struct
   let of_words off words =
     let card = Array.fold_left (fun n w -> n + popcount w) 0 words in
     if card = 0 then empty
-    else if card <= small_max then begin
-      let out = Array.make card 0 in
-      let k = ref 0 in
-      Array.iteri
-        (fun wi w ->
-          if w <> 0 then
-            for b = 0 to bits_per_word - 1 do
-              if w land (1 lsl b) <> 0 then begin
-                out.(!k) <- ((off + wi) * bits_per_word) + b;
-                incr k
-              end
-            done)
-        words;
-      of_sorted_unique out
-    end
+    else if card <= small_max then of_sorted_unique (bits_to_array card off words)
     else begin
       let n = Array.length words in
       let lo = ref 0 in
@@ -204,32 +229,65 @@ module Make (E : ELT) = struct
       && w < Array.length words
       && words.(w) land (1 lsl (x mod bits_per_word)) <> 0
 
-  let iter_idx f t =
-    match t.repr with
-    | Arr a -> Array.iter f a
-    | Bits { off; words } ->
-      Array.iteri
-        (fun wi w ->
-          if w <> 0 then begin
-            let base = (off + wi) * bits_per_word in
-            for b = 0 to bits_per_word - 1 do
-              if w land (1 lsl b) <> 0 then f (base + b)
-            done
-          end)
-        words
-
   let to_idx_array t =
     match t.repr with
     | Arr a -> a (* shared: Arr payloads are immutable *)
-    | Bits _ ->
-      let out = Array.make t.card 0 in
-      let k = ref 0 in
-      iter_idx
-        (fun x ->
-          out.(!k) <- x;
-          incr k)
-        t;
-      out
+    | Bits { off; words } -> bits_to_array t.card off words
+
+  (* ------------------------------------------------------------------ *)
+  (* Word-level bitset edits                                             *)
+  (* ------------------------------------------------------------------ *)
+
+  (* The bitset [card, off, words] with the sorted indices [a] added: the
+     words are copied once into the range widened to reach [a], then one
+     bit is set per index. Both ends of the range hold a member and the
+     cardinal only grows, so the result is canonical as built. *)
+  let bits_add_sorted card off words a =
+    let n = Array.length words in
+    let lo = min off (a.(0) / bits_per_word)
+    and hi = max (off + n - 1) (a.(Array.length a - 1) / bits_per_word) in
+    let out = Array.make (hi - lo + 1) 0 in
+    Array.blit words 0 out (off - lo) n;
+    let card = ref card in
+    Array.iter
+      (fun x ->
+        let wi = (x / bits_per_word) - lo and m = 1 lsl (x mod bits_per_word) in
+        if out.(wi) land m = 0 then begin
+          out.(wi) <- out.(wi) lor m;
+          incr card
+        end)
+      a;
+    cons !card (Bits { off = lo; words = out })
+
+  (* The bitset [card, off, words] without its member [x]: one copy of the
+     words, trimmed when [x] was the only bit of the first or last word; the
+     array layout (through [of_words]) once [small_max] elements remain. *)
+  let bits_remove card off words x =
+    let n = Array.length words and wi = (x / bits_per_word) - off in
+    let w = words.(wi) land lnot (1 lsl (x mod bits_per_word)) in
+    if card - 1 <= small_max then begin
+      let words = Array.copy words in
+      words.(wi) <- w;
+      of_words off words
+    end
+    else begin
+      let lo = ref 0 and hi = ref (n - 1) in
+      if w = 0 && wi = 0 then begin
+        lo := 1;
+        while words.(!lo) = 0 do
+          incr lo
+        done
+      end
+      else if w = 0 && wi = n - 1 then begin
+        hi := n - 2;
+        while words.(!hi) = 0 do
+          decr hi
+        done
+      end;
+      let out = Array.sub words !lo (!hi - !lo + 1) in
+      if wi >= !lo && wi <= !hi then out.(wi - !lo) <- w;
+      cons (card - 1) (Bits { off = off + !lo; words = out })
+    end
 
   (* ------------------------------------------------------------------ *)
   (* Memoized union                                                      *)
@@ -279,7 +337,9 @@ module Make (E : ELT) = struct
         (fun i w -> words.(o2 - lo + i) <- words.(o2 - lo + i) lor w)
         w2;
       of_words lo words
-    | _ -> of_sorted_unique (merge_arrays (to_idx_array a) (to_idx_array b))
+    | Bits { off; words }, Arr x -> bits_add_sorted a.card off words x
+    | Arr x, Bits { off; words } -> bits_add_sorted b.card off words x
+    | Arr x, Arr y -> of_sorted_unique (merge_arrays x y)
 
   (* The per-send cumulative-tag fold recomputes the same unions over and
      over; memoize on the operands' hash-cons uids. Keys are packed into
@@ -461,8 +521,23 @@ module Make (E : ELT) = struct
       Hashtbl.add singleton_memo i s;
       s
 
-  let add x t = if mem x t then t else union t (singleton x)
-  let remove x t = if mem x t then diff t (singleton x) else t
+  (* A bitset is edited by the word. A small array keeps the union memo,
+     which answers the tag folds' repeated small additions. *)
+  let add x t =
+    let i = E.index x in
+    if mem_idx i t then t
+    else
+      match t.repr with
+      | Bits { off; words } -> bits_add_sorted t.card off words [| i |]
+      | Arr _ -> union t (singleton x)
+
+  let remove x t =
+    let i = E.index x in
+    if not (mem_idx i t) then t
+    else
+      match t.repr with
+      | Bits { off; words } -> bits_remove t.card off words i
+      | Arr _ -> diff t (singleton x)
 
   let of_list l =
     match l with
@@ -481,12 +556,17 @@ module Make (E : ELT) = struct
       done;
       of_sorted_unique (if !k = n then a else Array.sub a 0 !k)
 
-  let iter f t = iter_idx (fun i -> f (E.of_index i)) t
-
+  (* One closure between the caller's function and the word loop: Replace
+     handling walks every replacement set with [fold]. *)
   let fold f t acc =
-    let acc = ref acc in
-    iter (fun e -> acc := f e !acc) t;
-    !acc
+    match t.repr with
+    | Arr a -> Array.fold_left (fun acc i -> f (E.of_index i) acc) acc a
+    | Bits { off; words } -> fold_bits (fun i acc -> f (E.of_index i) acc) off words acc
+
+  let iter f t =
+    match t.repr with
+    | Arr a -> Array.iter (fun i -> f (E.of_index i)) a
+    | Bits { off; words } -> fold_bits (fun i () -> f (E.of_index i)) off words ()
 
   exception Found
 
@@ -504,16 +584,10 @@ module Make (E : ELT) = struct
     else
       match t.repr with
       | Arr a -> Some (E.of_index a.(0))
-      | Bits _ ->
-        let r = ref None in
-        (try
-           iter
-             (fun e ->
-               r := Some e;
-               raise_notrace Found)
-             t
-         with Found -> ());
-        !r
+      | Bits { off; words } ->
+        (* trimmed: the first word holds the least member *)
+        let w = words.(0) in
+        Some (E.of_index ((off * bits_per_word) + ctz_bit (w land -w)))
 
   let choose_opt = min_elt_opt
 

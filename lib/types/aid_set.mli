@@ -20,6 +20,9 @@
       {!S.id} usable as a cache stamp;
     - {b memoized union}: the per-send cumulative-tag fold hits a cache
       keyed by the operands' ids instead of rebuilding trees;
+    - {b word-level edits}: adding or removing one element of a bitset
+      copies its word array once and flips one bit — Replace handling
+      (Figure 15) edits IDO and UDO sets one AID at a time;
     - {b allocation-free queries}: [mem], [disjoint], and [subset] walk
       arrays or words without allocating.
 
@@ -54,10 +57,27 @@ module type S = sig
   val empty : t
   val is_empty : t -> bool
   val mem : elt -> t -> bool
+
   val add : elt -> t -> t
+  (** [t] itself when already a member. On the array layout, a memoized
+      [union] with the singleton: O(n) on a memo miss. On the bitset
+      layout, one copy of the word array, widened when the element lies
+      below the first or above the last word: O(span / 63) words, where
+      the span runs from the least to the greatest member. *)
+
   val singleton : elt -> t
+
   val remove : elt -> t -> t
+  (** [t] itself when absent. On the array layout, an O(n) [diff] with the
+      singleton. On the bitset layout, one copy of the word array,
+      O(span / 63), trimmed
+      when the element was the only member of the first or last word; at
+      33 elements the result is the 32-element array layout. *)
+
   val union : t -> t -> t
+  (** Memoized on the operands' ids. A bitset joined with an array costs
+      one widened copy of the bitset's words, as [add] does. *)
+
   val inter : t -> t -> t
   val diff : t -> t -> t
 
@@ -82,6 +102,11 @@ module type S = sig
 
   val of_list : elt list -> t
   val fold : (elt -> 'acc -> 'acc) -> t -> 'acc -> 'acc
+  (** Ascending order. O(n) on the array layout; O(span / 63 + n) on the
+      bitset layout, whose words are walked by their set bits rather than
+      by all 63 positions. [iter], [exists], [for_all] and [elements]
+      walk the same way. *)
+
   val iter : (elt -> unit) -> t -> unit
   val exists : (elt -> bool) -> t -> bool
   val for_all : (elt -> bool) -> t -> bool

@@ -10,17 +10,20 @@ let test name f = Alcotest.test_case name `Quick f
 
 let owner = Proc_id.of_int 1
 let aid i = Aid.of_proc (Proc_id.of_int (100 + i))
+let num a = Proc_id.to_int (Aid.to_proc a) - 100
 let aids l = Aid.Set.of_list (List.map aid l)
 
 let push h ido = History.push h ~kind:History.Explicit ~ido:(aids ido) ~now:0.0
 
-let no_cut _ _ = Alcotest.fail "unexpected cycle cut"
-let count_cuts cuts _iid a = cuts := a :: !cuts
+let no_cut ~first:_ _ _ = Alcotest.fail "unexpected cycle cut"
 
-let replace ?(algorithm = Control.Algorithm_2) ?(on_cycle_cut = no_cut) h ~target
-    ~sender ~ido =
-  Control.handle_replace algorithm h ~target ~sender:(aid sender) ~ido:(aids ido)
-    ~on_cycle_cut
+(* Records each cut as (AID number, first-cut flag), newest first. *)
+let count_cuts cuts ~first _iid a = cuts := (num a, first) :: !cuts
+
+let replace ?(algorithm = Control.Algorithm_2) ?cut ?(on_cycle_cut = no_cut) h
+    ~target ~sender ~ido =
+  Control.handle_replace ?cut algorithm h ~target ~sender:(aid sender)
+    ~ido:(aids ido) ~on_cycle_cut
 
 let guesses actions =
   List.filter_map
@@ -112,7 +115,8 @@ let test_algorithm_2_cuts_cycle () =
     replace h ~on_cycle_cut:(count_cuts cuts) ~target:a.History.iid ~sender:2
       ~ido:[ 1 ]
   in
-  Alcotest.(check int) "one cut" 1 (List.length !cuts);
+  Alcotest.(check (list (pair int bool))) "1 cut, the interval's first"
+    [ (1, true) ] (List.rev !cuts);
   Alcotest.(check (list int)) "interval finalized by the cut" [ 0 ]
     (finalized actions)
 
@@ -143,8 +147,48 @@ let test_self_cycle_cut () =
     replace h ~on_cycle_cut:(count_cuts cuts) ~target:a.History.iid ~sender:1
       ~ido:[ 1 ]
   in
-  Alcotest.(check int) "self-cycle cut" 1 (List.length !cuts);
+  Alcotest.(check (list (pair int bool))) "self-cycle cut" [ (1, true) ]
+    (List.rev !cuts);
   Alcotest.(check (list int)) "finalized" [ 0 ] (finalized actions)
+
+(* One Replace walks its candidates in ascending order: cuts are reported
+   in that order, only the interval's first cut says [first], and the
+   fresh candidates are registered in ascending order too. The governor's
+   predicate sees exactly the candidates the UDO check let through. *)
+let test_cuts_ascending_first_once () =
+  let h = History.create owner in
+  let a = push h [ 1 ] in
+  let cuts = ref [] in
+  let on_cycle_cut = count_cuts cuts in
+  let guessed actions = List.map (fun (x, _) -> num x) (guesses actions) in
+  ignore (replace h ~on_cycle_cut ~target:a.History.iid ~sender:1 ~ido:[ 2; 3 ]);
+  Alcotest.(check bool) "no cut yet" false a.History.cut;
+  (* UDO = {1, 2}: 1 is cut, 3 is already a dependency, 5 and 6 are new *)
+  let actions =
+    replace h ~on_cycle_cut ~target:a.History.iid ~sender:2 ~ido:[ 6; 1; 3; 5 ]
+  in
+  Alcotest.(check (list int)) "fresh AIDs registered ascending" [ 5; 6 ]
+    (guessed actions);
+  Alcotest.(check bool) "interval marked cut" true a.History.cut;
+  (* UDO = {1, 2, 3}; the predicate rules 7 a cycle, lets 4 and 8 through *)
+  let seen = ref [] in
+  let cut ~target:_ ~sender:_ ~candidate =
+    seen := num candidate :: !seen;
+    Aid.equal candidate (aid 7)
+  in
+  let actions =
+    replace h ~cut ~on_cycle_cut ~target:a.History.iid ~sender:3
+      ~ido:[ 8; 2; 7; 1; 4 ]
+  in
+  Alcotest.(check (list int)) "predicate saw the UDO survivors ascending"
+    [ 4; 7; 8 ] (List.rev !seen);
+  Alcotest.(check (list int)) "survivors registered ascending" [ 4; 8 ]
+    (guessed actions);
+  Alcotest.(check (list (pair int bool))) "cuts ascending, first flagged once"
+    [ (1, true); (1, false); (2, false); (7, false) ]
+    (List.rev !cuts);
+  Alcotest.(check bool) "ido joined in one union" true
+    (Aid.Set.equal a.History.ido (aids [ 4; 5; 6; 8 ]))
 
 (* ---------------------------- Rebind ------------------------------ *)
 
@@ -312,6 +356,7 @@ let () =
           test "Algorithm 2 cuts a 2-cycle" test_algorithm_2_cuts_cycle;
           test "Algorithm 1 bounces" test_algorithm_1_no_udo_no_cut;
           test "self-cycle cut" test_self_cycle_cut;
+          test "cuts ascending, first flagged once" test_cuts_ascending_first_once;
         ] );
       ( "rebind",
         [

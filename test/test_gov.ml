@@ -361,6 +361,35 @@ let test_idle_escalation_trace_byte_identical () =
     (String.length off > 64);
   Alcotest.(check string) "chrome trace byte-identical" off on_
 
+(* PHOLD on HOPE at horizon 4 (the CLI's `phold --engine hope --horizon 4
+   --governor`), governed by the default policy: the governor's
+   per-candidate predicate forces cuts on top of Algorithm 2's own, and
+   the chrome trace is pinned. A change to which Replace candidates the
+   predicate is asked about, in what order, or which it cuts, changes
+   this digest. Regenerate the constant only for a change that means to
+   alter the trace. *)
+let test_governed_phold_cut_trace_pinned () =
+  let obs = Hope_obs.Recorder.create () in
+  Hope_obs.Recorder.enable obs;
+  let gov = ref None in
+  let on_setup rt =
+    let tele = Telemetry.create ~deep:true ~recorder:obs () in
+    Telemetry.install tele (Scheduler.engine (Runtime.scheduler rt));
+    gov := Some (Governor.install rt ~tele)
+  in
+  ignore
+    (Hope_workloads.Phold.run_hope ~seed:42 ~obs ~on_setup
+       { Hope_workloads.Phold.default_params with horizon = 4.0 }
+      : Hope_workloads.Phold.outcome);
+  Alcotest.(check bool) "the governor forced cuts" true
+    (Governor.forced_cuts (Option.get !gov) > 0);
+  Alcotest.(check string)
+    "chrome trace digest" "678ac862d09811effca0f97acee4f502"
+    (Digest.to_hex
+       (Digest.string
+          (Hope_obs.Obs.export_string Hope_obs.Obs.Chrome
+             (Hope_obs.Recorder.events obs))))
+
 (* ------------------------------------------------------------------ *)
 (* Adversary scenarios                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -505,6 +534,8 @@ let () =
             test_uninstalled_gauges_stop_refreshing;
           test "idle escalation keeps the trace byte-identical"
             test_idle_escalation_trace_byte_identical;
+          test "governed PHOLD cut trace pinned"
+            test_governed_phold_cut_trace_pinned;
         ] );
       ( "adversary",
         [

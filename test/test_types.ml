@@ -175,6 +175,123 @@ let qcheck_aid_set_fold_order =
         (List.rev (Oracle.fold (fun x acc -> x :: acc) o []))
       && Aid.Set.min_elt_opt s = Oracle.min_elt_opt o)
 
+(* One-element edits on wide bitsets. The generator above keeps indices
+   under ~200, so its bitsets span at most four words; here indices
+   cluster around a few centres up to ~5,000, so a bitset spans up to ~80
+   words with empty runs between clusters, and single adds and removes
+   land below the first word, above the last, and on a word's only bit.
+   Every edit must agree with Set.Make and yield the very node [of_list]
+   builds for the same elements. *)
+let clustered_idx centres =
+  QCheck.Gen.(
+    let* c = oneofl centres in
+    let* d = int_range (-70) 70 in
+    return (max 0 (c + d)))
+
+let clustered_gen =
+  QCheck.Gen.(
+    let* centres = list_size (int_range 1 4) (int_bound 5000) in
+    let idx = clustered_idx centres in
+    let* members = list_size (int_range 20 100) idx in
+    let* probes = list_size (int_range 1 8) (oneof [ idx; int_bound 5100 ]) in
+    return (members, probes))
+
+let show_ints l = "[" ^ String.concat "," (List.map string_of_int l) ^ "]"
+
+let arbitrary_clustered =
+  QCheck.make
+    ~print:(fun (m, p) -> Printf.sprintf "(%s, %s)" (show_ints m) (show_ints p))
+    clustered_gen
+
+let idx_set l = Aid.Set.of_list (List.map aid_of_int l)
+let canonical s o = s == Aid.Set.of_list (Oracle.elements o)
+
+let qcheck_aid_set_edits_vs_oracle =
+  QCheck.Test.make
+    ~name:"aid set: one-element add/remove on wide bitsets agree with Set.Make"
+    ~count:500 arbitrary_clustered (fun (members, probes) ->
+      let s = idx_set members and o = Oracle.of_list (List.map aid_of_int members) in
+      let ends =
+        List.filter_map Fun.id [ Oracle.min_elt_opt o; Oracle.max_elt_opt o ]
+      in
+      same s o
+      && Aid.Set.for_all (fun x -> Oracle.mem x o) s
+      && List.for_all
+           (fun x ->
+             let added = Aid.Set.add x s and removed = Aid.Set.remove x s in
+             let oa = Oracle.add x o and orm = Oracle.remove x o in
+             same added oa && same removed orm && canonical added oa
+             && canonical removed orm
+             && Aid.Set.min_elt_opt added = Oracle.min_elt_opt oa
+             && Aid.Set.min_elt_opt removed = Oracle.min_elt_opt orm
+             && Aid.Set.exists (Aid.equal x) added
+             && not (Aid.Set.exists (Aid.equal x) removed))
+           (List.map aid_of_int probes @ ends))
+
+(* Hash-consing identity along chains of edits: after every add or remove
+   the set is the node [of_list] builds for the oracle's elements. *)
+let arbitrary_chain =
+  QCheck.make
+    ~print:(fun (m, ops) ->
+      Printf.sprintf "(%s, [%s])" (show_ints m)
+        (String.concat ";"
+           (List.map (fun (a, i) -> (if a then "+" else "-") ^ string_of_int i) ops)))
+    QCheck.Gen.(
+      let* centres = list_size (int_range 1 3) (int_bound 5000) in
+      let idx = clustered_idx centres in
+      let* members = list_size (int_range 25 45) idx in
+      let* ops =
+        list_size (int_range 1 60) (pair bool (oneof [ idx; oneofl members ]))
+      in
+      return (members, ops))
+
+let qcheck_aid_set_hash_consing_chains =
+  QCheck.Test.make
+    ~name:"aid set: add/remove chains stay physically equal to of_list"
+    ~count:300 arbitrary_chain (fun (members, ops) ->
+      let s0 = idx_set members and o0 = Oracle.of_list (List.map aid_of_int members) in
+      let _, _, ok =
+        List.fold_left
+          (fun (s, o, ok) (is_add, i) ->
+            let x = aid_of_int i in
+            let s, o =
+              if is_add then (Aid.Set.add x s, Oracle.add x o)
+              else (Aid.Set.remove x s, Oracle.remove x o)
+            in
+            (s, o, ok && same s o && canonical s o))
+          (s0, o0, true) ops
+      in
+      ok)
+
+(* The layout edges, each built on purpose: widening below the first and
+   above the last word, trimming the first or last word's only bit (past
+   empty interior words), and the 32/33-element switch between the array
+   and bitset layouts. *)
+let test_aid_set_edit_edges () =
+  let ints s = List.map (fun a -> Proc_id.to_int (Aid.to_proc a)) (Aid.Set.elements s) in
+  let check name s l =
+    Alcotest.(check (list int)) name (List.sort_uniq compare l) (ints s);
+    Alcotest.(check bool) (name ^ ": the of_list node") true (s == idx_set l)
+  in
+  let add i s = Aid.Set.add (aid_of_int i) s and remove i s = Aid.Set.remove (aid_of_int i) s in
+  let evens lo n = List.init n (fun k -> lo + (2 * k)) in
+  let mid = evens 2000 40 in
+  let s = idx_set mid in
+  check "add below the first word" (add 10 s) (10 :: mid);
+  check "add above the last word" (add 4990 s) (mid @ [ 4990 ]);
+  check "add inside a word" (add 2001 s) (2001 :: mid);
+  Alcotest.(check bool) "add then remove is the same node" true
+    (remove 4990 (add 4990 s) == s);
+  check "remove the first word's only bit" (remove 100 (idx_set (100 :: mid))) mid;
+  check "remove the last word's only bit" (remove 4900 (idx_set (mid @ [ 4900 ]))) mid;
+  check "remove an interior bit" (remove 2040 s) (List.filter (( <> ) 2040) mid);
+  check "33 -> 32 switches to the array layout" (remove 0 (idx_set (evens 0 33)))
+    (evens 2 32);
+  check "32 -> 33 switches to the bitset layout" (add 64 (idx_set (evens 0 32)))
+    (evens 0 33);
+  check "remove from the array layout" (remove 4 (idx_set (evens 0 10)))
+    (List.filter (( <> ) 4) (evens 0 10))
+
 (* Interval_id.Set packs (owner, seq) into one integer index; the packing
    must preserve the owner-major element order. *)
 module Iid_oracle = Set.Make (struct
@@ -259,6 +376,9 @@ let () =
           QCheck_alcotest.to_alcotest qcheck_aid_set_queries_vs_oracle;
           QCheck_alcotest.to_alcotest qcheck_aid_set_hash_consing;
           QCheck_alcotest.to_alcotest qcheck_aid_set_fold_order;
+          QCheck_alcotest.to_alcotest qcheck_aid_set_edits_vs_oracle;
+          QCheck_alcotest.to_alcotest qcheck_aid_set_hash_consing_chains;
+          test "aid set: layout edges of one-element edits" test_aid_set_edit_edges;
           QCheck_alcotest.to_alcotest qcheck_interval_id_set_order;
         ] );
       ("wire", [ test "targets and names" test_wire_target_and_names ]);

@@ -11,6 +11,8 @@ module Recovery = Hope_workloads.Recovery
 module Scientific = Hope_workloads.Scientific
 module Occ = Hope_workloads.Occ
 module Latency = Hope_net.Latency
+module Runtime = Hope_core.Runtime
+module Invariant = Hope_core.Invariant
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -191,6 +193,51 @@ let test_phold_three_engines_agree () =
   Alcotest.(check int) "tw events" seq.Phold.handled_total tw.Phold.handled_total;
   Alcotest.(check int) "hope events" seq.Phold.handled_total hope.Phold.handled_total
 
+(* The CLI's `phold --engine hope --horizon 4`: its flush resolves the
+   LPs' self-cycles through tens of thousands of Algorithm 2 cuts. *)
+let cut_phold = { Phold.default_params with horizon = 4.0 }
+
+(* Every cut is counted, but the event log keeps one Cycle_cut entry per
+   cut interval, on its first cut: the log's readers (Invariant, Explain)
+   only ask whether an interval was cut. *)
+let test_phold_cut_logged_once () =
+  let rt = ref None in
+  ignore
+    (Phold.run_hope ~seed:42 ~on_setup:(fun r -> rt := Some r) cut_phold
+      : Phold.outcome);
+  let rt = Option.get !rt in
+  let started = ref 0 and logged = Hashtbl.create 64 and entries = ref 0 in
+  Runtime.iter_events
+    (function
+      | Runtime.Interval_started _ -> incr started
+      | Runtime.Cycle_cut { iid; _ } ->
+        incr entries;
+        Hashtbl.replace logged iid ()
+      | _ -> ())
+    rt;
+  Alcotest.(check bool) "thousands of cuts" true (Runtime.cycle_cuts rt >= 1000);
+  Alcotest.(check bool) "some cuts logged" true (!entries > 0);
+  Alcotest.(check bool) "no more cut entries than intervals" true
+    (!entries <= !started);
+  Alcotest.(check int) "one entry per cut interval" (Hashtbl.length logged) !entries;
+  Alcotest.(check (list string)) "invariants hold" []
+    (List.map (Format.asprintf "%a" Invariant.pp_violation) (Invariant.check_all rt))
+
+(* The same run's chrome trace, pinned: it carries every Cycle_cut event
+   in emission order, so a change to which candidates a Replace cuts, or
+   in what order, changes this digest. Regenerate the constant only for a
+   change that means to alter the trace. *)
+let test_phold_cut_trace_pinned () =
+  let obs = Hope_obs.Recorder.create () in
+  Hope_obs.Recorder.enable obs;
+  ignore (Phold.run_hope ~seed:42 ~obs cut_phold : Phold.outcome);
+  let chrome =
+    Hope_obs.Obs.export_string Hope_obs.Obs.Chrome (Hope_obs.Recorder.events obs)
+  in
+  Alcotest.(check string)
+    "chrome trace digest" "72c5ba6fd4c2c13dda3b2c2da93dcef7"
+    (Digest.to_hex (Digest.string chrome))
+
 let test_job_routing_deterministic () =
   let j = { Job.job_id = 3; hop = 7 } in
   let a = Job.route ~n_lps:8 ~mean_delay:1.0 ~remote_prob:0.5 ~from_lp:2 j in
@@ -369,6 +416,8 @@ let () =
       ( "phold",
         [
           test "three engines agree" test_phold_three_engines_agree;
+          test "cycle cut logged once per interval" test_phold_cut_logged_once;
+          test "cut-heavy chrome trace pinned" test_phold_cut_trace_pinned;
           test "job routing deterministic" test_job_routing_deterministic;
           QCheck_alcotest.to_alcotest qcheck_job_route_valid;
         ] );
