@@ -1495,8 +1495,8 @@ let () =
         Printf.eprintf "--trace-format: %s\n" msg;
         exit 1)
     | [ "--trace-format" ] ->
-      Printf.eprintf
-        "--trace-format requires an argument (chrome|graphml|summary|flame)\n";
+      Printf.eprintf "--trace-format requires an argument (%s)\n"
+        (String.concat "|" (List.map Obs.format_name Obs.all_formats));
       exit 1
     | "--json" :: file :: rest ->
       json_file := Some file;

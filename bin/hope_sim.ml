@@ -93,8 +93,8 @@ let trace_format_arg =
     & info [ "trace-format" ] ~docv:"FMT"
         ~doc:
           "Trace export format: chrome (Perfetto / chrome://tracing JSON), \
-           graphml (causal DAG), summary (text report), or flame \
-           (collapsed stacks for speedscope / inferno).")
+           graphml (causal DAG), summary (text report), flame (collapsed \
+           stacks for speedscope / inferno), or text (one line per event).")
 
 let metrics_arg =
   Arg.(
@@ -453,26 +453,15 @@ let report_cmd =
       & info [ "explain" ]
           ~doc:"Print the speculation report (per-interval fates) after the run.")
   in
-  let print_trace_arg =
-    Arg.(
-      value & flag
-      & info [ "print-trace" ]
-          ~doc:"Print the wire-level message trace after the run.")
-  in
-  let run latency seed mode sections page_size explain print_trace opts =
+  let run latency seed mode sections page_size explain opts =
     let p = { Report.default_params with sections; page_size } in
     let on_quiescence rt =
       if explain then
-        Format.printf "%a@." Hope_core.Explain.pp (Hope_core.Explain.of_runtime rt);
-      if print_trace then
-        Format.printf "%a@." Hope_sim.Trace.pp
-          (Hope_sim.Engine.trace
-             (Hope_proc.Scheduler.engine (Hope_core.Runtime.scheduler rt)))
+        Format.printf "%a@." Hope_core.Explain.pp (Hope_core.Explain.of_runtime rt)
     in
     let r =
       with_obs opts (fun ~obs ~tele:_ ~on_setup ->
-          Report.run ~seed ~obs ~latency ~mode ~trace:print_trace ~on_quiescence
-            ~on_setup p)
+          Report.run ~seed ~obs ~latency ~mode ~on_quiescence ~on_setup p)
     in
     Printf.printf
       "report: completion=%.3f ms rollbacks=%d messages=%d guesses=%d (accuracy %.0f%%)\n"
@@ -485,7 +474,7 @@ let report_cmd =
     (Cmd.info "report" ~doc:"The §3.1 page-printing report (Figures 1-2).")
     Term.(
       const run $ latency_arg $ seed_arg $ mode_arg $ sections_arg $ page_arg
-      $ explain_arg $ print_trace_arg $ obs_opts_term)
+      $ explain_arg $ obs_opts_term)
 
 (* ----------------------------- pipeline --------------------------- *)
 

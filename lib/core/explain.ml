@@ -20,7 +20,7 @@ type summary = {
   aids_true : int;
   aids_false : int;
   aids_unresolved : int;
-  cycle_cuts : int;
+  cut_intervals : int;
   speculation_accuracy : float;
 }
 
@@ -66,10 +66,7 @@ let of_runtime rt =
       | Runtime.Cycle_cut { iid; _ } -> (
         match Hashtbl.find_opt intervals iid with
         | Some b -> b.b_cut <- true
-        | None -> ())
-      | Runtime.Aid_created _ | Runtime.Affirm_sent _ | Runtime.Deny_sent _
-      | Runtime.Deny_buffered _ | Runtime.Free_of_hit _ | Runtime.Free_of_miss _ ->
-        ())
+        | None -> ()))
     rt;
   let by_process = Hashtbl.create 16 in
   List.iter
@@ -118,7 +115,7 @@ let of_runtime rt =
       aids_true = !aids_true;
       aids_false = !aids_false;
       aids_unresolved = !aids_open;
-      cycle_cuts = !cuts;
+      cut_intervals = !cuts;
       speculation_accuracy =
         (if closed = 0 then nan else float_of_int !finalized /. float_of_int closed);
     }
@@ -143,10 +140,10 @@ let pp_summary ppf s =
   Format.fprintf ppf
     "@[<v>intervals: %d (%d finalized, %d rolled back, %d open)@,\
      assumptions: %d (%d true, %d false, %d unresolved)@,\
-     cycle cuts: %d@,\
+     intervals with a cycle cut: %d@,\
      speculation accuracy: %a@]"
     s.intervals s.finalized s.rolled_back s.still_open s.aids s.aids_true
-    s.aids_false s.aids_unresolved s.cycle_cuts
+    s.aids_false s.aids_unresolved s.cut_intervals
     (fun ppf v ->
       if Float.is_nan v then Format.pp_print_string ppf "n/a"
       else Format.fprintf ppf "%.0f%%" (100.0 *. v))

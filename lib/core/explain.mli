@@ -32,7 +32,10 @@ type summary = {
   aids_true : int;
   aids_false : int;
   aids_unresolved : int;
-  cycle_cuts : int;
+  cut_intervals : int;
+      (** intervals that took at least one cycle cut; the number of cuts,
+          which one interval can take many times, is
+          {!Runtime.cycle_cuts} *)
   speculation_accuracy : float;
       (** finalized / (finalized + rolled_back); [nan] if no interval
           closed *)
@@ -41,7 +44,6 @@ type summary = {
 type t
 
 val of_runtime : Runtime.t -> t
-(** Requires the runtime to have been created with [record_events]. *)
 
 val summary : t -> summary
 

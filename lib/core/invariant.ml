@@ -39,10 +39,7 @@ let interval_facts rt =
       | Runtime.Cycle_cut { iid; _ } ->
         (match Hashtbl.find_opt facts iid with
         | Some f -> f.cut <- true
-        | None -> ())
-      | Runtime.Aid_created _ | Runtime.Affirm_sent _ | Runtime.Deny_sent _
-      | Runtime.Deny_buffered _ | Runtime.Free_of_hit _ | Runtime.Free_of_miss _ ->
-        ())
+        | None -> ()))
     rt;
   facts
 

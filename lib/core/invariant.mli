@@ -25,7 +25,6 @@ val pp_violation : Format.formatter -> violation -> unit
 val check_wait_free : Runtime.t -> violation list
 
 val check_theorem_5_1 : Runtime.t -> violation list
-(** Requires the runtime to have been created with [record_events]. *)
 
 val check_aid_finality : Runtime.t -> violation list
 (** Flags AIDs that received conflicting affirm/deny messages. Not part of

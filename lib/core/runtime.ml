@@ -12,7 +12,6 @@ type config = {
   strict_aids : bool;
   buffer_speculative_denies : bool;
   aid_placement : aid_placement;
-  record_events : bool;
   cache_terminal_states : bool;
 }
 
@@ -22,12 +21,10 @@ let default_config =
     strict_aids = false;
     buffer_speculative_denies = false;
     aid_placement = Colocate;
-    record_events = true;
     cache_terminal_states = true;
   }
 
 type event =
-  | Aid_created of Aid.t
   | Interval_started of {
       iid : Interval_id.t;
       kind : History.kind;
@@ -36,11 +33,6 @@ type event =
     }
   | Interval_finalized of Interval_id.t
   | Interval_rolled_back of Interval_id.t
-  | Affirm_sent of { aid : Aid.t; speculative : bool }
-  | Deny_sent of { aid : Aid.t; speculative : bool }
-  | Deny_buffered of { aid : Aid.t; by : Interval_id.t }
-  | Free_of_hit of { aid : Aid.t }
-  | Free_of_miss of { aid : Aid.t }
   | Cycle_cut of { iid : Interval_id.t; aid : Aid.t }
 
 (* Hot-path metric handles, resolved once at [install] — HOPE primitives
@@ -138,7 +130,6 @@ type t = {
   histories : (Proc_id.t, History.t) Hashtbl.t;
   aids : (Proc_id.t, Aid_machine.t) Hashtbl.t;
   mutable aid_count : int;
-  cuts : int ref;
   rm : rt_metrics;
   event_log : event Vec.t;
   (* Per-process caches of AIDs observed in a terminal state, learned from
@@ -193,7 +184,7 @@ let governed t = t.gov <> None
 
 let now t = Engine.now (Scheduler.engine t.sched)
 
-let record t ev = if t.cfg.record_events then Vec.push t.event_log ev
+let record t ev = Vec.push t.event_log ev
 
 (* The structured observability channel (lib/obs). The recorder lives in
    the engine; hot call sites guard on [obs_on] so the event payload is
@@ -288,7 +279,7 @@ let all_aids t =
 let live_intervals t =
   Hashtbl.fold (fun _ h acc -> acc + History.depth h) t.histories 0
 
-let cycle_cuts t = !(t.cuts)
+let cycle_cuts t = Metrics.count t.rm.c_cycle_cuts
 
 let iter_events f t = Vec.iter f t.event_log
 
@@ -362,7 +353,6 @@ let spawn_aid t ~node =
     (Aid_machine.create ~strict:t.cfg.strict_aids
        ~on_transition:t.aid_transition aid);
   Metrics.incr t.rm.c_aids_created;
-  record t (Aid_created aid);
   if obs_on t then emit t ~proc:apid (Hope_obs.Event.Aid_create { aid });
   aid
 
@@ -425,7 +415,6 @@ let do_affirm t pid x =
     Scheduler.send_wire t.sched ~src:pid ~dst:(Aid.to_proc x)
       (Wire.Affirm { iid = definite_iid t pid; ido = Aid.Set.empty });
     Metrics.incr t.rm.c_affirms_definite;
-    record t (Affirm_sent { aid = x; speculative = false });
     if obs_on t then
       emit t ~proc:pid
         (Hope_obs.Event.Affirm { aid = x; iid = None; speculative = false })
@@ -438,7 +427,6 @@ let do_affirm t pid x =
     Scheduler.send_wire t.sched ~src:pid ~dst:(Aid.to_proc x)
       (Wire.Affirm { iid = cur.History.iid; ido });
     Metrics.incr t.rm.c_affirms_speculative;
-    record t (Affirm_sent { aid = x; speculative = true });
     if obs_on t then
       emit t ~proc:pid
         (Hope_obs.Event.Affirm
@@ -451,7 +439,6 @@ let do_deny t pid x =
     Scheduler.send_wire t.sched ~src:pid ~dst:(Aid.to_proc x)
       (Wire.Deny { iid = definite_iid t pid });
     Metrics.incr t.rm.c_denies;
-    record t (Deny_sent { aid = x; speculative = false });
     if obs_on t then
       emit t ~proc:pid
         (Hope_obs.Event.Deny { aid = x; iid = None; buffered = false })
@@ -461,7 +448,6 @@ let do_deny t pid x =
     if t.cfg.buffer_speculative_denies then begin
       cur.History.ihd <- Aid.Set.add x cur.History.ihd;
       Metrics.incr t.rm.c_denies_buffered;
-      record t (Deny_buffered { aid = x; by = cur.History.iid });
       if obs_on t then
         emit t ~proc:pid
           (Hope_obs.Event.Deny
@@ -472,7 +458,6 @@ let do_deny t pid x =
       Scheduler.send_wire t.sched ~src:pid ~dst:(Aid.to_proc x)
         (Wire.Deny { iid = cur.History.iid });
       Metrics.incr t.rm.c_denies;
-      record t (Deny_sent { aid = x; speculative = true });
       if obs_on t then
         emit t ~proc:pid
           (Hope_obs.Event.Deny
@@ -483,14 +468,12 @@ let do_free_of t pid x =
   let hist = history_or_create t pid in
   if History.depends_on hist x then begin
     Metrics.incr t.rm.c_free_of_hits;
-    record t (Free_of_hit { aid = x });
     if obs_on t then
       emit t ~proc:pid (Hope_obs.Event.Free_of { aid = x; hit = true });
     do_deny t pid x
   end
   else begin
     Metrics.incr t.rm.c_free_of_misses;
-    record t (Free_of_miss { aid = x });
     if obs_on t then
       emit t ~proc:pid (Hope_obs.Event.Free_of { aid = x; hit = false });
     do_affirm t pid x
@@ -642,7 +625,6 @@ let install sched ?(config = default_config) () =
       histories = Hashtbl.create 64;
       aids = Hashtbl.create 64;
       aid_count = 0;
-      cuts = ref 0;
       rm;
       event_log = Vec.create ();
       known_true = Hashtbl.create 64;
@@ -675,7 +657,6 @@ let install sched ?(config = default_config) () =
      per cut interval, which is all its readers ask of it. *)
   t.cycle_cut <-
     (fun ~first iid aid ->
-      incr t.cuts;
       Metrics.incr t.rm.c_cycle_cuts;
       if first then record t (Cycle_cut { iid; aid });
       if obs_on t then
@@ -779,23 +760,3 @@ let install sched ?(config = default_config) () =
   in
   Scheduler.set_hooks sched hooks;
   t
-
-let pp_event ppf = function
-  | Aid_created a -> Format.fprintf ppf "aid-created %a" Aid.pp a
-  | Interval_started { iid; kind; ido; at = _ } ->
-    Format.fprintf ppf "interval-started %a (%s) ido=%a" Interval_id.pp iid
-      (match kind with History.Explicit -> "guess" | History.Implicit -> "recv")
-      Aid.Set.pp ido
-  | Interval_finalized iid -> Format.fprintf ppf "finalized %a" Interval_id.pp iid
-  | Interval_rolled_back iid ->
-    Format.fprintf ppf "rolled-back %a" Interval_id.pp iid
-  | Affirm_sent { aid; speculative } ->
-    Format.fprintf ppf "affirm %a%s" Aid.pp aid (if speculative then " (spec)" else "")
-  | Deny_sent { aid; speculative } ->
-    Format.fprintf ppf "deny %a%s" Aid.pp aid (if speculative then " (spec)" else "")
-  | Deny_buffered { aid; by } ->
-    Format.fprintf ppf "deny-buffered %a by %a" Aid.pp aid Interval_id.pp by
-  | Free_of_hit { aid } -> Format.fprintf ppf "free_of hit %a" Aid.pp aid
-  | Free_of_miss { aid } -> Format.fprintf ppf "free_of miss %a" Aid.pp aid
-  | Cycle_cut { iid; aid } ->
-    Format.fprintf ppf "cycle-cut %a dropped %a" Interval_id.pp iid Aid.pp aid

@@ -41,7 +41,6 @@ type config = {
       (** footnote 1: hold denies from speculative intervals in IHD until
           the interval finalizes, instead of sending immediately *)
   aid_placement : aid_placement;
-  record_events : bool;  (** keep the event log for invariant checking *)
   cache_terminal_states : bool;
       (** let each process cache AIDs it has observed in a terminal state
           (True from a Replace with empty IDO, False from a Rollback);
@@ -54,7 +53,7 @@ type config = {
 
 val default_config : config
 (** Algorithm 2, lenient AIDs, immediate denies, colocated AID processes,
-    events recorded, terminal-state caching on. *)
+    terminal-state caching on. *)
 
 val install : Hope_proc.Scheduler.t -> ?config:config -> unit -> t
 (** Install the HOPE hooks into the scheduler. Call once, before spawning
@@ -139,7 +138,8 @@ val live_intervals : t -> int
 val cycle_cuts : t -> int
 (** Replace candidates discarded as cycle cuts so far — by Algorithm 2's
     UDO check or by a governor's [cut_replace] — counting every cut, also
-    the repeated cuts of one interval that the event log records once. *)
+    the repeated cuts of one interval that the event log records once.
+    The value of the engine's [hope.cycle_cuts] counter. *)
 
 (** {1 AID garbage collection (§5.2)} *)
 
@@ -156,10 +156,12 @@ val fresh_aid : t -> ?node:int -> unit -> Aid.t
 (** Create an AID process from outside any user program (drivers/tests).
     [node] defaults to 0. *)
 
-(** {1 Event log (for invariant checking and tests)} *)
+(** {1 Event log}
+
+    The interval lifecycles {!Invariant} and {!Explain} replay; everything
+    else a run does goes to the engine's {!Hope_obs.Recorder}. *)
 
 type event =
-  | Aid_created of Aid.t
   | Interval_started of {
       iid : Interval_id.t;
       kind : History.kind;
@@ -168,11 +170,6 @@ type event =
     }
   | Interval_finalized of Interval_id.t
   | Interval_rolled_back of Interval_id.t
-  | Affirm_sent of { aid : Aid.t; speculative : bool }
-  | Deny_sent of { aid : Aid.t; speculative : bool }
-  | Deny_buffered of { aid : Aid.t; by : Interval_id.t }
-  | Free_of_hit of { aid : Aid.t }  (** free_of found a dependency: denied *)
-  | Free_of_miss of { aid : Aid.t }  (** free_of found none: affirmed *)
   | Cycle_cut of { iid : Interval_id.t; aid : Aid.t }
       (** the interval's first cycle cut: a Replace candidate [aid] was
           discarded, because [iid] had already depended on it (UDO hit —
@@ -182,7 +179,4 @@ type event =
           the obs stream but not logged *)
 
 val iter_events : (event -> unit) -> t -> unit
-(** Walk the event log in place, oldest first; empty unless
-    [record_events]. *)
-
-val pp_event : Format.formatter -> event -> unit
+(** Walk the event log in place, oldest first. *)

@@ -18,7 +18,8 @@
           Hope.World.spawn world ~name:"guesser"
             (let* ok, x = Program.guess_new () in
              let* () = Program.send buddy (Hope.Value.Aid_v x) in
-             if ok then Program.mark "demo" "optimistic!" else Program.return ())
+             if ok then Program.lift (fun () -> print_endline "optimistic!")
+             else Program.return ())
         in
         Hope.World.run world
     ]}
@@ -93,7 +94,6 @@ end
 module Invariant = Hope_core.Invariant
 module Explain = Hope_core.Explain
 module Metrics = Hope_sim.Metrics
-module Trace = Hope_sim.Trace
 
 (** {1 Higher layers} *)
 

@@ -8,6 +8,7 @@ type format =
   | Graphml  (** causal dependency DAG; open in yEd / Gephi / igraph *)
   | Summary  (** human-readable text *)
   | Flame  (** collapsed stacks; open in speedscope or inferno *)
+  | Text  (** one {!Event.pp} line per event, in emission order *)
 
 val all_formats : format list
 

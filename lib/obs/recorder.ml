@@ -96,5 +96,3 @@ let iter f t =
 let clear t =
   t.size <- 0;
   t.seq <- 0
-
-let pp ppf t = iter (fun e -> Format.fprintf ppf "%a@." Event.pp e) t

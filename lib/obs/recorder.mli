@@ -2,9 +2,8 @@
 
     A recorder is a growable in-memory log of {!Event.t}. It is created
     disabled: every emission site in the runtime guards on one branch, so
-    the hot path pays nothing when nobody subscribed. Unlike
-    {!Hope_sim.Trace} (a bounded debugging ring of strings), a recorder
-    keeps every event — analytics passes and exporters need the complete
+    the hot path pays nothing when nobody subscribed. A recorder keeps
+    every event — analytics passes and exporters need the complete
     stream — so enable it for bounded experiment runs, not unbounded
     services.
 
@@ -75,6 +74,3 @@ val iter : (Event.t -> unit) -> t -> unit
 
 val clear : t -> unit
 (** Drop all events and reset the sequence counter. *)
-
-val pp : Format.formatter -> t -> unit
-(** One line per event, in emission order. *)

@@ -24,7 +24,6 @@ type _ op =
   | Random_int : int -> int op
   | Observe : string * float -> unit op
   | Incr_counter : string -> unit op
-  | Mark : string * string -> unit op
   | Lift : (unit -> 'b) -> 'b op
 
 and 'a t = Return : 'a -> 'a t | Bind : 'b op * ('b -> 'a t) -> 'a t
@@ -85,7 +84,6 @@ let random_int bound = perform (Random_int bound)
 let lift f = perform (Lift f)
 let observe name x = perform (Observe (name, x))
 let incr_counter name = perform (Incr_counter name)
-let mark category message = perform (Mark (category, message))
 
 let rec iter_list f = function
   | [] -> return ()

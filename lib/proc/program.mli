@@ -48,7 +48,6 @@ type _ op =
   | Random_int : int -> int op
   | Observe : string * float -> unit op
   | Incr_counter : string -> unit op
-  | Mark : string * string -> unit op
   | Lift : (unit -> 'b) -> 'b op
 
 and 'a t = Return : 'a -> 'a t | Bind : 'b op * ('b -> 'a t) -> 'a t
@@ -137,8 +136,6 @@ val observe : string -> float -> unit t
 (** Record a sample into the named engine histogram. *)
 
 val incr_counter : string -> unit t
-val mark : string -> string -> unit t
-(** [mark category message] appends to the engine trace. *)
 
 (** {1 Control-flow helpers} *)
 

@@ -2,7 +2,6 @@ open Hope_types
 module Engine = Hope_sim.Engine
 module Rng = Hope_sim.Rng
 module Metrics = Hope_sim.Metrics
-module Trace = Hope_sim.Trace
 module Vec = Hope_sim.Vec
 module Network = Hope_net.Network
 
@@ -221,7 +220,6 @@ let hooks_exn t =
   | None -> failwith "Scheduler: HOPE runtime not installed (no hooks)"
 
 let metrics t = Engine.metrics t.eng
-let trace t = Engine.trace t.eng
 
 let counter t name = Metrics.counter (metrics t) name
 
@@ -369,8 +367,7 @@ let transmit t ~src ~dst payload =
   | Envelope.User _ -> Metrics.incr t.hm.c_user_sends
   | Envelope.Cancel _ -> Metrics.incr t.hm.c_cancel_sends);
   (* Structured wire-level observability: every transmission becomes a
-     typed event. The string Trace recording below it is the legacy
-     debugging channel ([--print-trace]); both are one branch when off. *)
+     typed event; one branch when off. *)
   if obs_on_net t then
     (match payload with
     | Envelope.Control wire -> obs_emit t ~proc:src (Hope_obs.Event.Wire_send { dst; wire })
@@ -378,10 +375,6 @@ let transmit t ~src ~dst payload =
       obs_emit t ~proc:src (Hope_obs.Event.Msg_send { dst; msg_id = id; tags })
     | Envelope.Cancel { msg_id } ->
       obs_emit t ~proc:src (Hope_obs.Event.Cancel_send { dst; msg_id }));
-  let tr = trace t in
-  if Trace.enabled tr then
-    Trace.recordf tr ~time:(Engine.now t.eng) ~category:"wire" "%a" Envelope.pp
-      env;
   (match t.remote_route with
   | Some route when route ~src ~dst env -> ()
   | _ -> Network.send t.net ~src:(Proc_id.to_int src) ~dst:(Proc_id.to_int dst) env);
@@ -590,9 +583,6 @@ and exec_op : type b. t -> proc -> b Program.op -> (b -> unit Program.t) -> int 
     continue_k t p k () 0.0 fuel
   | Program.Incr_counter name ->
     Metrics.incr (counter t name);
-    continue_k t p k () 0.0 fuel
-  | Program.Mark (category, message) ->
-    Trace.record (trace t) ~time:(Engine.now t.eng) ~category message;
     continue_k t p k () 0.0 fuel
   | Program.Lift f -> continue_k t p k (f ()) 0.0 fuel
 

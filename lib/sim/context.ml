@@ -21,7 +21,7 @@ let owner ~shards lp =
   if lp < 0 then invalid_arg "Context.owner: negative lp"
   else lp mod shards
 
-let make ?(seed = 42) ?trace_capacity ?obs ~shards ~shard_id () =
+let make ?(seed = 42) ?obs ~shards ~shard_id () =
   if shards <= 0 then invalid_arg "Context.make: shards must be positive";
   if shard_id < 0 || shard_id >= shards then
     invalid_arg "Context.make: shard_id out of range";
@@ -32,7 +32,7 @@ let make ?(seed = 42) ?trace_capacity ?obs ~shards ~shard_id () =
      component pull from [Engine.rng]) are also per-shard streams; the
      derivation peeks a copy so [rng]'s stream is undisturbed. *)
   let eseed = Int64.to_int (Rng.bits64 (Rng.copy rng)) land max_int in
-  let engine = Engine.create ~seed:eseed ?trace_capacity ?obs () in
+  let engine = Engine.create ~seed:eseed ?obs () in
   { shard_id; shards; engine; rng }
 
 let shard_id t = t.shard_id

@@ -12,7 +12,6 @@ type t
 
 val make :
   ?seed:int ->
-  ?trace_capacity:int ->
   ?obs:Hope_obs.Recorder.t ->
   shards:int ->
   shard_id:int ->

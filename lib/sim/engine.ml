@@ -3,7 +3,6 @@ type t = {
   queue : event Equeue.t;
   root_rng : Rng.t;
   registry : Metrics.registry;
-  trace_buf : Trace.t;
   obs : Hope_obs.Recorder.t;
   mutable executed : int;
   mutable stop_requested : bool;
@@ -61,13 +60,12 @@ let rec nil_event =
 (* Synthetic process id for events the engine itself emits. *)
 let engine_proc = Hope_types.Proc_id.of_int (-1)
 
-let create ?(seed = 42) ?trace_capacity ?obs () =
+let create ?(seed = 42) ?obs () =
   {
     clock = 0.0;
     queue = Equeue.create ~dummy:nil_event ();
     root_rng = Rng.create ~seed;
     registry = Metrics.create_registry ();
-    trace_buf = Trace.create ?capacity:trace_capacity ();
     obs = (match obs with Some r -> r | None -> Hope_obs.Recorder.create ());
     executed = 0;
     stop_requested = false;
@@ -97,7 +95,6 @@ let fire_sampler t =
 let now t = t.clock
 let rng t = t.root_rng
 let metrics t = t.registry
-let trace t = t.trace_buf
 let obs t = t.obs
 
 (* The engine is the component that knows virtual time, so it is the

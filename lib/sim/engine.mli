@@ -1,9 +1,10 @@
 (** The discrete-event simulation engine.
 
     The engine owns the virtual clock, the event queue, the root RNG, the
-    metrics registry, and the trace. Components schedule thunks at future
-    virtual times; {!run} pops events in timestamp order (FIFO among equal
-    timestamps) until quiescence or a limit. All model time is in seconds.
+    metrics registry, and the observability recorder. Components schedule
+    thunks at future virtual times; {!run} pops events in timestamp order
+    (FIFO among equal timestamps) until quiescence or a limit. All model
+    time is in seconds.
 
     Determinism contract: given equal seeds and equal scheduling calls, runs
     are bit-for-bit identical. Nothing in the engine reads wall-clock time
@@ -20,7 +21,7 @@ type stop_reason =
   | Event_limit  (** the [max_events] budget was exhausted *)
   | Stopped  (** {!stop} was called from inside an event *)
 
-val create : ?seed:int -> ?trace_capacity:int -> ?obs:Hope_obs.Recorder.t -> unit -> t
+val create : ?seed:int -> ?obs:Hope_obs.Recorder.t -> unit -> t
 (** [create ~seed ()] makes an engine at time 0. Default seed 42. [obs]
     supplies an externally-owned observability recorder (e.g. the bench
     harness's); by default the engine owns a fresh, disabled one. *)
@@ -32,7 +33,6 @@ val rng : t -> Rng.t
 (** The engine's root RNG; components should {!Rng.split} their own. *)
 
 val metrics : t -> Metrics.registry
-val trace : t -> Trace.t
 
 val obs : t -> Hope_obs.Recorder.t
 (** The structured speculation-event recorder (see {!Hope_obs}). Disabled

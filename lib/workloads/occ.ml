@@ -416,26 +416,6 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
         match Scheduler.completion_time sched c with
         | Some at -> Float.max acc at
         | None ->
-          if Sys.getenv_opt "HOPE_OCC_DEBUG" <> None then begin
-            List.iter
-              (fun pid ->
-                match Runtime.history_of rt pid with
-                | h -> Format.eprintf "%a@." Hope_core.History.pp h
-                | exception Not_found -> ())
-              (Scheduler.user_pids sched);
-            List.iter
-              (fun a ->
-                Format.eprintf "%a@." Hope_core.Aid_machine.pp
-                  (Runtime.aid_machine rt a))
-              (Runtime.all_aids rt);
-            let n = ref 0 and i = ref 0 in
-            Runtime.iter_events (fun _ -> incr n) rt;
-            Runtime.iter_events
-              (fun e ->
-                if !i >= !n - 60 || Sys.getenv_opt "HOPE_OCC_DEBUG_ALL" <> None then Format.eprintf "%a@." Runtime.pp_event e;
-                incr i)
-              rt
-          end;
           failwith
             (Printf.sprintf "occ client %s did not terminate (status %s)"
                (Proc_id.to_string c)

@@ -118,10 +118,9 @@ type result = {
 
 let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.wan) ?fifo
     ?(sched_config = Scheduler.epoch_1995_config)
-    ?(hope_config = Runtime.default_config) ?(trace = false) ?on_quiescence
+    ?(hope_config = Runtime.default_config) ?on_quiescence
     ?(on_setup = ignore) ~mode p =
   let engine = Engine.create ~seed ?obs () in
-  if trace then Hope_sim.Trace.enable (Engine.trace engine);
   let sched =
     Scheduler.create ~engine ~default_latency:latency ?fifo ~config:sched_config ()
   in

@@ -68,7 +68,6 @@ val run :
   ?fifo:bool ->
   ?sched_config:Hope_proc.Scheduler.config ->
   ?hope_config:Hope_core.Runtime.config ->
-  ?trace:bool ->
   ?on_quiescence:(Hope_core.Runtime.t -> unit) ->
   ?on_setup:(Hope_core.Runtime.t -> unit) ->
   mode:[ `Pessimistic | `Optimistic ] ->

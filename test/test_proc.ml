@@ -235,27 +235,12 @@ let test_combinators () =
   Alcotest.(check (list int)) "combinators execute in order"
     [ 1; 2; 3; 4; 5; 6; 7; 7; 10 ] (List.rev !out)
 
-let test_mark_writes_trace () =
-  let engine, sched = make () in
-  Hope_sim.Trace.enable (Engine.trace engine);
-  ignore
-    (Scheduler.spawn sched ~name:"marker"
-       (let* () = Program.mark "phase" "started" in
-        let* () = Program.compute 0.5 in
-        Program.mark "phase" "finished")
-      : Proc_id.t);
-  ignore (Engine.run engine);
-  let entries = Hope_sim.Trace.find (Engine.trace engine) ~category:"phase" in
-  Alcotest.(check (list string)) "both marks recorded" [ "started"; "finished" ]
-    (List.map (fun e -> e.Hope_sim.Trace.message) entries);
-  Alcotest.(check bool) "timestamps recorded" true
-    (match entries with
-    | [ a; b ] -> a.Hope_sim.Trace.time = 0.0 && b.Hope_sim.Trace.time = 0.5
-    | _ -> false)
-
+(* One send under a storing recorder: the text export lists it once as
+   sent and once as received. *)
 let test_wire_trace_records_transmissions () =
   let engine, sched = make () in
-  Hope_sim.Trace.enable (Engine.trace engine);
+  let obs = Engine.obs engine in
+  Hope_obs.Recorder.enable obs;
   let receiver =
     Scheduler.spawn sched ~name:"receiver"
       (let* _ = Program.recv () in
@@ -265,8 +250,14 @@ let test_wire_trace_records_transmissions () =
     (Scheduler.spawn sched ~name:"sender" (Program.send receiver (Value.Int 9))
       : Proc_id.t);
   ignore (Engine.run engine);
-  Alcotest.(check int) "one wire entry" 1
-    (List.length (Hope_sim.Trace.find (Engine.trace engine) ~category:"wire"))
+  let words =
+    Hope_obs.Obs.export_string Hope_obs.Obs.Text (Hope_obs.Recorder.events obs)
+    |> String.map (function '\n' -> ' ' | c -> c)
+    |> String.split_on_char ' '
+  in
+  let count kind = List.length (List.filter (String.equal kind) words) in
+  Alcotest.(check int) "one msg-send line" 1 (count "msg-send");
+  Alcotest.(check int) "one msg-recv line" 1 (count "msg-recv")
 
 let test_recv_opt_with_filter () =
   let engine, sched = make () in
@@ -711,7 +702,6 @@ let () =
         ] );
       ( "observability",
         [
-          test "mark writes the trace" test_mark_writes_trace;
           test "wire trace records transmissions" test_wire_trace_records_transmissions;
         ] );
       ( "lifecycle",

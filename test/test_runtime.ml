@@ -1,6 +1,7 @@
 (* Tests for runtime configuration features: AID garbage collection,
    buffered speculative denies (footnote 1), the terminal-state cache
-   ablation, and AID placement. *)
+   ablation, and AID placement; plus the event log's readers, Explain and
+   the Theorem 5.1 check. *)
 
 open Hope_types
 module Program = Hope_proc.Program
@@ -389,6 +390,39 @@ let test_explain_reconstructs () =
   Alcotest.(check bool) "mentions finalized" true (contains rendered "finalized");
   Alcotest.(check bool) "mentions rolled back" true (contains rendered "rolled back")
 
+(* ---------------------------- invariant --------------------------- *)
+
+(* The Theorem 5.1 check can fire: a clean guess-then-affirm run passes
+   it, and flipping the affirmed AID to False afterwards makes the
+   finalized interval a violation read off the event log. *)
+let test_theorem_5_1_fires () =
+  let w = make_world () in
+  let x = Runtime.fresh_aid w.rt () in
+  let worker =
+    Scheduler.spawn w.sched ~name:"worker"
+      (let* _ = Program.guess x in
+       Program.compute 1.0)
+  in
+  ignore
+    (Scheduler.spawn w.sched ~name:"affirmer"
+       (let* () = Program.compute 0.01 in
+        Program.affirm x)
+      : Proc_id.t);
+  quiesce w;
+  Alcotest.(check (list string)) "clean run" []
+    (List.map (Format.asprintf "%a" Invariant.pp_violation)
+       (Invariant.check_theorem_5_1 w.rt));
+  (Runtime.aid_machine w.rt x).Aid_machine.state <- Aid_machine.False_;
+  let expected =
+    Format.asprintf "interval %a finalized but dependency %a ended False"
+      Interval_id.pp (Interval_id.make ~owner:worker ~seq:0) Aid.pp x
+  in
+  Alcotest.(check (list (pair string string))) "one violation"
+    [ ("theorem-5.1", expected) ]
+    (List.map
+       (fun v -> (v.Invariant.check, v.Invariant.detail))
+       (Invariant.check_theorem_5_1 w.rt))
+
 let () =
   Alcotest.run "runtime"
     [
@@ -416,4 +450,5 @@ let () =
           test "rolls back the consumer" test_cancel_rolls_back_consumer;
         ] );
       ("explain", [ test "reconstructs interval fates" test_explain_reconstructs ]);
+      ("invariant", [ test "theorem 5.1 check fires" test_theorem_5_1_fires ]);
     ]

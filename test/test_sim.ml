@@ -1,11 +1,10 @@
 (* Unit and property tests for the simulation kernel: RNG, heap, metrics,
-   trace, vec, and the event engine. *)
+   vec, and the event engine. *)
 
 module Rng = Hope_sim.Rng
 module Heap = Hope_sim.Heap
 module Equeue = Hope_sim.Equeue
 module Metrics = Hope_sim.Metrics
-module Trace = Hope_sim.Trace
 module Vec = Hope_sim.Vec
 module Engine = Hope_sim.Engine
 
@@ -503,33 +502,6 @@ let test_metrics_percentile_accuracy () =
           tolerance)
     [ (10.0, 10_000.0); (50.0, 50_000.0); (90.0, 90_000.0); (99.0, 99_000.0) ]
 
-(* ----------------------------- Trace ------------------------------ *)
-
-let test_trace_disabled_by_default () =
-  let t = Trace.create () in
-  Trace.record t ~time:0.0 ~category:"x" "hello";
-  Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.entries t))
-
-let test_trace_roundtrip () =
-  let t = Trace.create () in
-  Trace.enable t;
-  Trace.record t ~time:1.0 ~category:"a" "one";
-  Trace.record t ~time:2.0 ~category:"b" "two";
-  Trace.recordf t ~time:3.0 ~category:"a" "three-%d" 3;
-  let entries = Trace.entries t in
-  Alcotest.(check int) "three entries" 3 (List.length entries);
-  Alcotest.(check (list string)) "category filter" [ "one"; "three-3" ]
-    (List.map (fun e -> e.Trace.message) (Trace.find t ~category:"a"))
-
-let test_trace_ring_wraps () =
-  let t = Trace.create ~capacity:4 () in
-  Trace.enable t;
-  for i = 1 to 10 do
-    Trace.record t ~time:(float_of_int i) ~category:"n" (string_of_int i)
-  done;
-  Alcotest.(check (list string)) "keeps the newest 4" [ "7"; "8"; "9"; "10" ]
-    (List.map (fun e -> e.Trace.message) (Trace.entries t))
-
 (* ----------------------------- Vec -------------------------------- *)
 
 let test_vec_basics () =
@@ -702,12 +674,6 @@ let () =
           test "empty histogram" test_metrics_empty_histogram;
           test "reservoir bounded" test_metrics_reservoir_bounded;
           test "percentile accuracy" test_metrics_percentile_accuracy;
-        ] );
-      ( "trace",
-        [
-          test "disabled by default" test_trace_disabled_by_default;
-          test "roundtrip and filter" test_trace_roundtrip;
-          test "ring wraps" test_trace_ring_wraps;
         ] );
       ("vec", [ test "basics" test_vec_basics ]);
       ( "engine",
