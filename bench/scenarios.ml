@@ -8,17 +8,9 @@ module Metrics = Hope_sim.Metrics
 module Scheduler = Hope_proc.Scheduler
 module Program = Hope_proc.Program
 module Runtime = Hope_core.Runtime
-module Invariant = Hope_core.Invariant
+module World = Hope_core.World
 module Control = Hope_core.Control
 open Program.Syntax
-
-let quiesce_exn ?(max_events = 50_000_000) sched what =
-  match Scheduler.run ~max_events sched with
-  | Hope_sim.Engine.Quiescent -> ()
-  | reason ->
-    failwith
-      (Format.asprintf "%s did not quiesce: %a" what
-         Hope_sim.Engine.pp_stop_reason reason)
 
 (* --------------------------------------------------------------- *)
 (* E2: wait-free primitive execution at varying system sizes        *)
@@ -36,12 +28,9 @@ type e2_result = {
    while every other process does the same: local HOPE work must not slow
    down or block as the system grows. *)
 let run_e2 ?obs ~processes ~rounds () =
-  let engine = Engine.create ~seed:17 ?obs () in
   let config = { Scheduler.epoch_1995_config with primitive_cost = 20e-6 } in
-  let sched =
-    Scheduler.create ~engine ~default_latency:Hope_net.Latency.lan ~config ()
-  in
-  let rt = Runtime.install sched () in
+  let w = World.create ~seed:17 ?obs ~sched_config:config () in
+  let sched = w.World.scheduler in
   let affirmer_body =
     Program.repeat rounds
       (let* env = Program.recv () in
@@ -61,15 +50,9 @@ let run_e2 ?obs ~processes ~rounds () =
              Program.return ()))
         : Proc_id.t)
   done;
-  quiesce_exn sched "e2";
-  (match Invariant.check_all rt with
-  | [] -> ()
-  | vs ->
-    failwith
-      (Format.asprintf "e2 invariants: %a"
-         (Format.pp_print_list Invariant.pp_violation)
-         vs));
-  let m = Engine.metrics engine in
+  World.run_to_quiescence ~what:"e2" ~max_events:50_000_000 w;
+  World.check_invariants ~what:"e2" w;
+  let m = Engine.metrics w.engine in
   let primitives = Metrics.find_counter m "hope.primitive_execs" in
   {
     processes = 2 * processes;
@@ -95,9 +78,8 @@ type e3_result = {
    alone are depth^2/2: messages per interval grow linearly with depth,
    total quadratically — the cost §6 concedes. *)
 let run_e3 ?obs ~depth () =
-  let engine = Engine.create ~seed:23 ?obs () in
-  let sched = Scheduler.create ~engine ~default_latency:Hope_net.Latency.lan () in
-  let rt = Runtime.install sched () in
+  let w = World.create ~seed:23 ?obs () in
+  let sched = w.World.scheduler in
   let resolver =
     Scheduler.spawn sched ~node:1 ~name:"resolver"
       (let* env = Program.recv () in
@@ -118,15 +100,9 @@ let run_e3 ?obs ~depth () =
         in
         go depth [])
       : Proc_id.t);
-  quiesce_exn sched "e3";
-  (match Invariant.check_all rt with
-  | [] -> ()
-  | vs ->
-    failwith
-      (Format.asprintf "e3 invariants: %a"
-         (Format.pp_print_list Invariant.pp_violation)
-         vs));
-  let m = Engine.metrics engine in
+  World.run_to_quiescence ~what:"e3" ~max_events:50_000_000 w;
+  World.check_invariants ~what:"e3" w;
+  let m = Engine.metrics w.engine in
   let wire_types = [ "guess"; "affirm"; "deny"; "replace"; "rollback" ] in
   let control_messages =
     List.fold_left
@@ -177,10 +153,9 @@ type e4_result = {
    affirm their neighbour's, building the cyclic dependency graph of
    Figure 13 at scale. *)
 let run_e4 ?obs ~ring ~algorithm ~event_cap () =
-  let engine = Engine.create ~seed:31 ?obs () in
-  let sched = Scheduler.create ~engine ~default_latency:Hope_net.Latency.lan () in
-  let rt =
-    Runtime.install sched ~config:{ Runtime.default_config with algorithm } ()
+  let { World.engine; scheduler = sched; runtime = rt } =
+    World.create ~seed:31 ?obs
+      ~hope_config:{ Runtime.default_config with algorithm } ()
   in
   let member i =
     let* env = Program.recv () in
@@ -203,15 +178,9 @@ let run_e4 ?obs ~ring ~algorithm ~event_cap () =
         let payload = Value.List (List.rev_map (fun x -> Value.Aid_v x) aids) in
         Program.iter_list (fun m -> Program.send m payload) members)
       : Proc_id.t);
-  let quiesced =
-    match Scheduler.run ~max_events:event_cap sched with
-    | Hope_sim.Engine.Quiescent -> true
-    | Hope_sim.Engine.Event_limit -> false
-    | reason ->
-      failwith
-        (Format.asprintf "e4: unexpected stop %a" Hope_sim.Engine.pp_stop_reason
-           reason)
-  in
+  (* Algorithm 1 may livelock: hitting [event_cap] is a result, not an
+     error. Nothing here stops the engine or sets a horizon. *)
+  let quiesced = Scheduler.run ~max_events:event_cap sched <> Engine.Event_limit in
   let m = Engine.metrics engine in
   let wire_types = [ "guess"; "affirm"; "deny"; "replace"; "rollback" ] in
   let control_messages =
@@ -255,14 +224,14 @@ type compaction_result = {
    compaction the mailbox retains every arrival ever delivered; with it,
    residency must stay bounded by open speculation (plus the compaction
    threshold), no matter how many messages flow through. Hooks fake the
-   minimal runtime: interval per tagged consumption, finalize from
-   outside. *)
+   minimal runtime, replacing the installed one's: interval per tagged
+   consumption, finalize from outside. *)
 let run_compaction ?(messages = 10_000) ?(burst = 50) () =
-  let engine = Engine.create ~seed:47 () in
-  let sched =
-    Scheduler.create ~engine ~default_latency:(Hope_net.Latency.Constant 1e-4)
-      ~fifo:true ~config:Scheduler.free_config ()
+  let w =
+    World.create ~seed:47 ~latency:(Hope_net.Latency.Constant 1e-4) ~fifo:true
+      ~sched_config:Scheduler.free_config ()
   in
+  let sched = w.World.scheduler in
   let iid_seq = ref 0 in
   let stack = ref [] in
   let consumed = ref 0 in
@@ -297,7 +266,7 @@ let run_compaction ?(messages = 10_000) ?(burst = 50) () =
       h_spawn_child = (fun ~parent:_ ~child:_ -> None);
       h_terminated = (fun _ -> ());
     };
-  let m = Engine.metrics engine in
+  let m = Engine.metrics w.engine in
   let bounded = ref true in
   let peak_resident = ref 0 in
   let peak_open = ref 0 in
@@ -314,7 +283,7 @@ let run_compaction ?(messages = 10_000) ?(burst = 50) () =
         ~tags:(Aid.Set.singleton tag)
         (Value.Int !sent)
     done;
-    quiesce_exn sched "compaction scenario";
+    World.run_to_quiescence ~what:"compaction scenario" ~max_events:50_000_000 w;
     peak_open := max !peak_open (Scheduler.open_checkpoints sched sink);
     peak_resident := max !peak_resident (Scheduler.arrivals_resident sched sink);
     (* Finalize-heavy: every interval the burst opened resolves, oldest

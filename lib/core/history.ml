@@ -214,8 +214,6 @@ let find_pos t iid =
 let find t iid =
   match find_pos t iid with None -> None | Some pos -> Some t.buf.(pos)
 
-let is_live t iid = Option.is_some (find_pos t iid)
-
 let depends_on t x =
   Aid.Set.mem x (cumulative_ido t) || Aid.Set.mem x (cumulative_udo t)
 

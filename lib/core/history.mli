@@ -71,8 +71,6 @@ val oldest : t -> interval option
 val find : t -> Interval_id.t -> interval option
 (** O(log depth): live intervals are ordered by sequence number. *)
 
-val is_live : t -> Interval_id.t -> bool
-
 val cumulative_ido : t -> Aid.Set.t
 (** Union of live IDO sets: the process's current dependency set — the tag
     for outgoing messages (§3). Served from an incrementally maintained

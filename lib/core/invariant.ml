@@ -128,8 +128,8 @@ let check_quiescence rt =
 (* check_aid_finality is not part of check_all: rollback-driven
    re-execution can legitimately re-affirm an AID that a revoked
    speculative affirm drove to False (DESIGN.md §3.2), which the lenient
-   machine counts as a user error. Tests of strictly-once protocols call
-   it directly. *)
+   machine counts as a user error. [hope_sim --check] reports it as
+   informational. *)
 let check_all rt = check_wait_free rt @ check_theorem_5_1 rt @ check_quiescence rt
 
 let all_named =
@@ -139,14 +139,3 @@ let all_named =
     ("aid-finality", check_aid_finality, false);
     ("quiescence", check_quiescence, true);
   ]
-
-let assert_ok rt =
-  match check_all rt with
-  | [] -> ()
-  | vs ->
-    let msg =
-      Format.asprintf "@[<v>%d invariant violations:@,%a@]" (List.length vs)
-        (Format.pp_print_list pp_violation)
-        vs
-    in
-    failwith msg

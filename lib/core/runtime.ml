@@ -248,8 +248,6 @@ let aid_state t aid = (aid_machine t aid).Aid_machine.state
 
 (* -------------------- per-AID escalation (§10) -------------------- *)
 
-let aid_escalated t aid = Known.mem t.escalated aid
-
 let set_acquire_bound t bound =
   if bound <= 0.0 then invalid_arg "Runtime.set_acquire_bound: bound <= 0";
   t.acquire_bound <- bound

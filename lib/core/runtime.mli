@@ -115,8 +115,6 @@ val deescalate_aid : t -> Aid.t -> unit
     waiters (the current grant holder, if any, finishes normally).
     Idempotent. Counted in [hope.deescalations]. *)
 
-val aid_escalated : t -> Aid.t -> bool
-
 val set_acquire_bound : t -> float -> unit
 (** Virtual-time bound on a queued acquire wait (default 50 ms): past
     it the waiter withdraws its ticket and takes the pessimistic

@@ -8,7 +8,6 @@ module Invariant = Hope_core.Invariant
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
 module Telemetry = Hope_sim.Telemetry
-module Latency = Hope_net.Latency
 module Monitor = Hope_obs.Monitor
 open Program.Syntax
 
@@ -88,12 +87,10 @@ type world = {
 }
 
 let make_world ~seed ~governed ~policy ~hope_config =
-  let engine = Engine.create ~seed () in
-  let sched =
-    Scheduler.create ~engine ~default_latency:Latency.lan ~fifo:true
-      ~config:Scheduler.free_config ()
+  let { Hope_core.World.engine; scheduler = sched; runtime = rt } =
+    Hope_core.World.create ~seed ~fifo:true ~sched_config:Scheduler.free_config
+      ~hope_config ()
   in
-  let rt = Runtime.install sched ~config:hope_config () in
   (* Deep monitoring arms the replace-churn bounce detector — the
      adversary experiments are exactly the runs where its evidence is
      worth the per-Replace allocation. *)

@@ -81,11 +81,6 @@ val guesses_gated : t -> int
 val send_stalls : t -> int
 (** Sends that paid back-pressure ([hope.send_stalls]). *)
 
-val escalated_aids : t -> int
-(** AIDs currently escalated to pessimistic acquisition by this
-    governor (the runtime's [hope.aids_escalated] gauge tracks the same
-    number). *)
-
 val wasted_pct : t -> float
 (** The wasted-work fraction [wasted / (wasted + committed)] vtime as
     of the last tick, in [0, 1] (exported as [gov.wasted_pct]). *)

@@ -21,7 +21,8 @@
              if ok then Program.lift (fun () -> print_endline "optimistic!")
              else Program.return ())
         in
-        Hope.World.run world
+        Hope.World.run_to_quiescence world;
+        Hope.World.check_invariants world
     ]}
 
     The layers remain available individually ([hope.core], [hope.proc],
@@ -47,47 +48,9 @@ module Latency = Hope_net.Latency
 module Network = Hope_net.Network
 module Topology = Hope_net.Topology
 
-(** One-call setup for the common case: an engine, a scheduler, and the
-    HOPE runtime, wired together. *)
-module World = struct
-  type t = {
-    engine : Engine.t;
-    scheduler : Scheduler.t;
-    runtime : Runtime.t;
-  }
-
-  let create ?(seed = 42) ?(latency = Latency.lan) ?sched_config ?hope_config () =
-    let engine = Engine.create ~seed () in
-    let scheduler =
-      Scheduler.create ~engine ~default_latency:latency ?config:sched_config ()
-    in
-    let runtime = Runtime.install scheduler ?config:hope_config () in
-    { engine; scheduler; runtime }
-
-  let spawn t ?node ~name body = Scheduler.spawn t.scheduler ?node ~name body
-
-  let run ?until ?max_events t =
-    ignore (Scheduler.run ?until ?max_events t.scheduler : Engine.stop_reason)
-
-  let run_to_quiescence ?max_events t =
-    match Scheduler.run ?max_events t.scheduler with
-    | Engine.Quiescent -> ()
-    | reason ->
-      failwith
-        (Format.asprintf "Hope.World: did not quiesce (%a)" Engine.pp_stop_reason
-           reason)
-
-  let check_invariants t =
-    match Hope_core.Invariant.check_all t.runtime with
-    | [] -> ()
-    | vs ->
-      failwith
-        (Format.asprintf "@[<v>HOPE invariant violations:@,%a@]"
-           (Format.pp_print_list Hope_core.Invariant.pp_violation)
-           vs)
-
-  let explain t = Hope_core.Explain.of_runtime t.runtime
-end
+module World = Hope_core.World
+(** Engine, scheduler and runtime in one call, plus the drivers' shared
+    ending: run to quiescence, check invariants, read the makespan. *)
 
 (** {1 Introspection and verification} *)
 

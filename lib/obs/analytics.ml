@@ -38,65 +38,6 @@ type t = {
   shard : shard_stats option;
 }
 
-(* Parallel-engine pass. One fold over the stream: commit / straggler /
-   GVT / compaction tallies plus the root-cause attribution table —
-   every [Shard_straggler] (primary or cascade) adds its [rolled] count
-   under its root key, so the table's sum equals the wasted-event total
-   by construction. *)
-let shard_stats_of events =
-  let commits = ref 0
-  and stragglers = ref 0
-  and cascades = ref 0
-  and wasted = ref 0
-  and gvt = ref nan
-  and gvt_rounds = ref 0
-  and compactions = ref 0
-  and seen = ref false in
-  let attr = Hashtbl.create 32 in
-  List.iter
-    (fun (e : Event.t) ->
-      match e.Event.payload with
-      | Event.Shard_commit _ ->
-        seen := true;
-        incr commits
-      | Event.Shard_straggler { root_shard; root_mid; root_send_ts; rolled; secondary; _ }
-        ->
-        seen := true;
-        if secondary then incr cascades else incr stragglers;
-        wasted := !wasted + rolled;
-        let key = (root_shard, root_mid, root_send_ts) in
-        let prev =
-          match Hashtbl.find_opt attr key with Some v -> v | None -> 0
-        in
-        Hashtbl.replace attr key (prev + rolled)
-      | Event.Gvt_advance { gvt = g; _ } ->
-        seen := true;
-        incr gvt_rounds;
-        gvt := if Float.is_nan !gvt then g else Float.max !gvt g
-      (* compactions also occur on the sequential engine; count them but
-         don't let them alone claim the run was sharded *)
-      | Event.Mailbox_compact _ -> incr compactions
-      | _ -> ())
-    events;
-  if not !seen then None
-  else
-    Some
-      {
-        shard_commits = !commits;
-        shard_stragglers = !stragglers;
-        shard_cascade_rollbacks = !cascades;
-        shard_wasted_events = !wasted;
-        shard_gvt = !gvt;
-        shard_gvt_rounds = !gvt_rounds;
-        shard_compactions = !compactions;
-        shard_attribution =
-          List.sort
-            (fun (((s1 : int), (m1 : int), _), _) ((s2, m2, _), _) ->
-              let c = compare s1 s2 in
-              if c <> 0 then c else compare m1 m2)
-            (Hashtbl.fold (fun k v acc -> (k, v) :: acc) attr []);
-      }
-
 (* The deepest open chain: from the deepest span (earliest such by open
    order, for determinism), walk parent links back to the outermost
    ancestor. Its duration spans the root's open to the leaf's close —
@@ -142,76 +83,97 @@ let critical_path_of ~end_time spans =
         })
       leaf
 
+(* One pass over the stream. The monitor owns every aggregate it also
+   keeps online (interval fates, committed/wasted virtual time, cascade
+   count and size, shard commits and wasted events); this pass adds only
+   what needs the whole stream. The attribution table sums each
+   [Shard_straggler]'s [rolled] under its root key, so its total equals
+   the monitor's wasted-event count by construction. *)
 let analyse events =
-  let end_time = Span.end_time events in
+  let m = Monitor.create () in
+  let n = ref 0 and end_time = ref 0.0 in
+  let cascade_sizes = Hashtbl.create 8 in
+  let churn = ref Aid.Map.empty in
+  let stragglers = ref 0 and secondaries = ref 0 in
+  let gvt_rounds = ref 0 and compactions = ref 0 in
+  let attr = Hashtbl.create 32 in
+  let bump tbl k by =
+    Hashtbl.replace tbl k (by + Option.value (Hashtbl.find_opt tbl k) ~default:0)
+  in
+  List.iter
+    (fun (e : Event.t) ->
+      incr n;
+      end_time := Float.max !end_time e.Event.time;
+      Monitor.observe m ~time:e.Event.time ~proc:e.Event.proc e.Event.payload;
+      match e.Event.payload with
+      | Event.Rollback_cascade { rolled; _ } ->
+        bump cascade_sizes (List.length rolled) 1
+      | Event.Aid_transition { aid; _ } ->
+        churn :=
+          Aid.Map.update aid (fun prev -> Some (Option.value prev ~default:0 + 1)) !churn
+      | Event.Shard_straggler { root_shard; root_mid; root_send_ts; rolled; secondary; _ }
+        ->
+        if secondary then incr secondaries else incr stragglers;
+        bump attr (root_shard, root_mid, root_send_ts) rolled
+      | Event.Gvt_advance _ -> incr gvt_rounds
+      (* compactions also occur on the sequential engine; count them but
+         don't let them alone claim the run was sharded *)
+      | Event.Mailbox_compact _ -> incr compactions
+      | _ -> ())
+    events;
+  let end_time = !end_time in
   let spans = Span.of_events events in
-  let finalized, rolled_back, still_open, committed_time, wasted_time =
+  let open_time, max_depth =
     List.fold_left
-      (fun (f, r, o, ct, wt) (s : Span.t) ->
-        let d = Span.duration ~end_time s in
-        match s.Span.close with
-        | Span.Finalized -> (f + 1, r, o, ct +. d, wt)
-        | Span.Rolled_back _ -> (f, r + 1, o, ct, wt +. d)
-        | Span.Still_open -> (f, r, o + 1, ct, wt))
-      (0, 0, 0, 0.0, 0.0) spans
+      (fun (ot, d) (s : Span.t) ->
+        ( (match s.Span.close with
+          | Span.Still_open -> ot +. Span.duration ~end_time s
+          | Span.Finalized | Span.Rolled_back _ -> ot),
+          max d s.Span.depth ))
+      (0.0, 0) spans
   in
-  let open_time =
-    List.fold_left
-      (fun acc (s : Span.t) ->
-        match s.Span.close with
-        | Span.Still_open -> acc +. Span.duration ~end_time s
-        | Span.Finalized | Span.Rolled_back _ -> acc)
-      0.0 spans
-  in
+  let committed_time = Monitor.committed_vtime m
+  and wasted_time = Monitor.wasted_vtime m in
   let total_span_time = committed_time +. wasted_time +. open_time in
-  let wasted_ratio =
-    if total_span_time <= 0.0 then 0.0 else wasted_time /. total_span_time
-  in
-  let cascades, max_cascade, cascade_counts =
-    List.fold_left
-      (fun (n, mx, counts) (e : Event.t) ->
-        match e.Event.payload with
-        | Event.Rollback_cascade { rolled; _ } ->
-          let size = List.length rolled in
-          let prev = Option.value (List.assoc_opt size counts) ~default:0 in
-          (n + 1, max mx size, (size, prev + 1) :: List.remove_assoc size counts)
-        | _ -> (n, mx, counts))
-      (0, 0, []) events
-  in
-  let cascade_hist =
-    List.sort (fun (a, _) (b, _) -> Int.compare a b) cascade_counts
-  in
-  let max_depth =
-    List.fold_left (fun acc (s : Span.t) -> max acc s.Span.depth) 0 spans
-  in
-  let churn_map =
-    List.fold_left
-      (fun m (e : Event.t) ->
-        match e.Event.payload with
-        | Event.Aid_transition { aid; _ } ->
-          Aid.Map.update aid
-            (fun prev -> Some (Option.value prev ~default:0 + 1))
-            m
-        | _ -> m)
-      Aid.Map.empty events
+  let sorted cmp tbl = List.sort cmp (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []) in
+  let shard =
+    if Monitor.shard_commits m + !stragglers + !secondaries + !gvt_rounds = 0 then None
+    else
+      Some
+        {
+          shard_commits = Monitor.shard_commits m;
+          shard_stragglers = !stragglers;
+          shard_cascade_rollbacks = !secondaries;
+          shard_wasted_events = Monitor.shard_wasted_events m;
+          shard_gvt = (if !gvt_rounds = 0 then nan else Monitor.gvt m);
+          shard_gvt_rounds = !gvt_rounds;
+          shard_compactions = !compactions;
+          shard_attribution =
+            sorted
+              (fun (((s1 : int), (m1 : int), _), _) ((s2, m2, _), _) ->
+                let c = compare s1 s2 in
+                if c <> 0 then c else compare m1 m2)
+              attr;
+        }
   in
   {
     end_time;
-    events = List.length events;
-    intervals_opened = List.length spans;
-    finalized;
-    rolled_back;
-    still_open;
+    events = !n;
+    intervals_opened = Monitor.intervals_opened m;
+    finalized = Monitor.intervals_finalized m;
+    rolled_back = Monitor.intervals_rolled_back m;
+    still_open = Monitor.open_intervals m;
     committed_time;
     wasted_time;
-    wasted_ratio;
-    cascades;
-    max_cascade;
-    cascade_hist;
+    wasted_ratio =
+      (if total_span_time <= 0.0 then 0.0 else wasted_time /. total_span_time);
+    cascades = Monitor.cascades m;
+    max_cascade = Monitor.max_cascade m;
+    cascade_hist = sorted (fun (a, _) (b, _) -> Int.compare a b) cascade_sizes;
     max_depth;
-    aid_churn = Aid.Map.bindings churn_map;
+    aid_churn = Aid.Map.bindings !churn;
     critical_path = critical_path_of ~end_time spans;
-    shard = shard_stats_of events;
+    shard;
   }
 
 let of_recorder rec_ = analyse (Recorder.events rec_)

@@ -4,7 +4,12 @@
     counters cannot answer: how deep rollback cascades went, how much
     virtual time was thrown away, which AIDs churned, and what the deepest
     speculation chain looked like. All passes are pure functions of the
-    event list, so they are as deterministic as the capture itself. *)
+    event list, so they are as deterministic as the capture itself.
+
+    Interval fates, committed and wasted virtual time, cascade counts and
+    the shard commit and wasted-event totals come from replaying the
+    stream through {!Monitor.observe}, the fold the live monitor runs;
+    the passes here add only what needs the whole stream. *)
 
 open Hope_types
 

@@ -161,5 +161,3 @@ let to_string events =
   List.iter (fun e -> flow_events b emit e) events;
   Buffer.add_string b "],\"displayTimeUnit\":\"ms\"}\n";
   Buffer.contents b
-
-let write oc events = output_string oc (to_string events)

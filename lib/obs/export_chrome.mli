@@ -13,5 +13,3 @@
 
 val to_string : Event.t list -> string
 (** Serialise a captured stream. Events must be in emission order. *)
-
-val write : out_channel -> Event.t list -> unit

@@ -106,5 +106,3 @@ let to_string events =
       Buffer.add_char b '\n')
     (List.sort String.compare lines);
   Buffer.contents b
-
-let write oc events = output_string oc (to_string events)

@@ -20,5 +20,3 @@
     output is byte-deterministic for a fixed event stream. *)
 
 val to_string : Event.t list -> string
-
-val write : out_channel -> Event.t list -> unit

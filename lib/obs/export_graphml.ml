@@ -214,5 +214,3 @@ let to_string events =
     (List.rev bld.edges_rev);
   Buffer.add_string b "  </graph>\n</graphml>\n";
   Buffer.contents b
-
-let write oc events = output_string oc (to_string events)

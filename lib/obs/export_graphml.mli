@@ -16,5 +16,3 @@
 
 val to_string : Event.t list -> string
 (** Serialise the DAG of a captured stream (events in emission order). *)
-
-val write : out_channel -> Event.t list -> unit

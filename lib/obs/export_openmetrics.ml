@@ -206,6 +206,3 @@ let to_string ?(instruments = []) ?series () =
   List.iter (emit_family b) (collect ~instruments ~series);
   Buffer.add_string b "# EOF\n";
   Buffer.contents b
-
-let write oc ?instruments ?series () =
-  output_string oc (to_string ?instruments ?series ())

@@ -44,7 +44,3 @@ val render_labels : (string * string) list -> string
 
 val to_string :
   ?instruments:instrument list -> ?series:Timeseries.t -> unit -> string
-
-val write :
-  out_channel -> ?instruments:instrument list -> ?series:Timeseries.t ->
-  unit -> unit

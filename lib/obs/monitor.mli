@@ -95,8 +95,8 @@ val attach : ?dep:bool -> t -> Recorder.t -> unit
     path; leave it off for overhead-sensitive sampling. *)
 
 val observe : t -> time:float -> proc:Proc_id.t -> Event.payload -> unit
-(** Fold one event. This is the tap body; it is exposed so tests and
-    post-hoc replays can feed a stored stream through the same logic. *)
+(** Fold one event. This is the tap body; {!Analytics} is the post-hoc
+    replay, feeding a stored stream through the same fold. *)
 
 val check_stalls : t -> now:float -> unit
 (** Flag any interval open for more than [stall_after] virtual seconds.
@@ -167,9 +167,6 @@ val shard_stragglers : t -> int
 val shard_wasted_events : t -> int
 (** Processed-then-undone Time Warp entries, same two sources. *)
 
-val shard_annihilations : t -> int
-(** Sample-derived total positive/anti annihilations across shards. *)
-
 val gvt : t -> float
 (** Latest global-virtual-time floor seen (events or samples). *)
 
@@ -178,8 +175,7 @@ val gvt_lag : t -> float
 
 val gauges : t -> (string * float) list
 (** Snapshot of every gauge above under stable [hope_monitor_*] names,
-    sorted by name — the shape {!Timeseries.add_dynamic_source} and the
-    OpenMetrics exporter consume. *)
+    sorted by name — the shape the OpenMetrics exporter consumes. *)
 
 (** {1 Diagnostics} *)
 

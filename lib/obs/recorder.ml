@@ -53,12 +53,6 @@ let set_tap t ?(net = false) ?(dep = false) f =
   t.tap_dep <- dep;
   refresh t
 
-let clear_tap t =
-  t.tap <- None;
-  t.tap_net <- false;
-  t.tap_dep <- false;
-  refresh t
-
 let grow t =
   let cap = Array.length t.arr in
   let dummy =

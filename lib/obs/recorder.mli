@@ -58,8 +58,6 @@ val set_tap : t -> ?net:bool -> ?dep:bool -> tap -> unit
     [net] (default [false]) opts in to the net-class events; [dep]
     (default [false]) to the [Dep_resolved] class. *)
 
-val clear_tap : t -> unit
-
 val emit : t -> time:float -> proc:Hope_types.Proc_id.t -> Event.payload -> unit
 (** Feed the tap (if any), then append an event stamped with the next
     sequence number (if storing). No-op (one branch) while disabled. *)

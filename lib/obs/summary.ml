@@ -31,5 +31,3 @@ let pp ppf events =
   end
 
 let to_string events = Format.asprintf "%a" pp events
-
-let write oc events = output_string oc (to_string events)

@@ -7,5 +7,3 @@
 val pp : Format.formatter -> Event.t list -> unit
 
 val to_string : Event.t list -> string
-
-val write : out_channel -> Event.t list -> unit

@@ -22,7 +22,6 @@ type t = {
   tbl : (string, series) Hashtbl.t;
   mutable order : series list;  (* creation order, newest first *)
   mutable fixed : (series * (unit -> float)) list;  (* newest first *)
-  mutable dynamic : (unit -> (string * float) list) list;
   mutable samples : int;
 }
 
@@ -35,7 +34,6 @@ let create ?(capacity = 1024) ~stride () =
     tbl = Hashtbl.create 32;
     order = [];
     fixed = [];
-    dynamic = [];
     samples = 0;
   }
 
@@ -104,13 +102,8 @@ let add_source t nm f =
   let s = series t nm in
   t.fixed <- (s, f) :: List.filter (fun (s', _) -> s' != s) t.fixed
 
-let add_dynamic_source t f = t.dynamic <- f :: t.dynamic
-
 let sample t ~time =
   List.iter (fun (s, f) -> record s ~time (f ())) (List.rev t.fixed);
-  List.iter
-    (fun f -> List.iter (fun (nm, v) -> record (series t nm) ~time v) (f ()))
-    (List.rev t.dynamic);
   t.samples <- t.samples + 1
 
 let samples t = t.samples

@@ -32,11 +32,6 @@ val add_source : t -> string -> (unit -> float) -> unit
 (** Register a fixed-name source, read once per {!sample}. Registering
     the same name twice replaces the thunk, not the series. *)
 
-val add_dynamic_source : t -> (unit -> (string * float) list) -> unit
-(** Register a source whose set of names may grow over the run (e.g. a
-    metrics registry that lazily creates counters). Each returned pair is
-    recorded into the series of that name, creating it on first sight. *)
-
 val sample : t -> time:float -> unit
 (** Read every source and append one point per series at [time]. *)
 

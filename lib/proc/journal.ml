@@ -50,11 +50,6 @@ let create ~dummy ~dummy_ck () =
 let entries j = j.e_len
 let segments j = j.s_len
 
-let top_iid j =
-  if j.s_len = 0 then None else Some j.seg_iid.(j.s_head + j.s_len - 1)
-
-let oldest_iid j = if j.s_len = 0 then None else Some j.seg_iid.(j.s_head)
-
 (* Rebase segment starts after the entry window slides to offset 0. *)
 let rebase_starts j shift =
   for i = j.s_head to j.s_head + j.s_len - 1 do
@@ -156,10 +151,6 @@ let find_seg j iid =
   go (j.s_head + j.s_len - 1)
 
 let mem j iid = find_seg j iid >= 0
-
-let checkpoint_of j iid =
-  let i = find_seg j iid in
-  if i < 0 then None else Some j.seg_ck.(i)
 
 let rollback_to j iid ~consume ~send =
   let si = find_seg j iid in

@@ -36,10 +36,7 @@ val entries : ('a, 'ck) t -> int
 val segments : ('a, 'ck) t -> int
 (** Open segments — equivalently, live checkpoints. *)
 
-val top_iid : ('a, 'ck) t -> Interval_id.t option
-val oldest_iid : ('a, 'ck) t -> Interval_id.t option
 val mem : ('a, 'ck) t -> Interval_id.t -> bool
-val checkpoint_of : ('a, 'ck) t -> Interval_id.t -> 'ck option
 
 val open_segment : ('a, 'ck) t -> iid:Interval_id.t -> ck:'ck -> unit
 (** Begin the segment of a freshly created interval. Must be called in

@@ -246,14 +246,6 @@ let find_proc t pid =
         (Printf.sprintf "Scheduler: %s is an actor, not a user process"
            (Proc_id.to_string pid))
 
-let name_of t pid =
-  let i = Proc_id.to_int pid in
-  if i < 0 || i >= Vec.length t.entities then "?"
-  else
-    match Vec.get t.entities i with
-    | User_proc p -> p.pname
-    | Native_actor a -> a.aname
-
 let fresh_msg_id t =
   let id = t.next_msg_id in
   t.next_msg_id <- t.next_msg_id + t.msg_id_stride;
@@ -862,8 +854,6 @@ let resolve_acquire t pid ~src ~ticket ~granted =
     if granted then
       send_wire t ~src:pid ~dst:src (Wire.Release { iid = ticket })
 
-let held_grants t pid = (find_proc t pid).held
-
 let spawn_actor t ?(node = 0) ~name handler =
   let pid = Proc_id.of_int (Vec.length t.entities) in
   Vec.push t.entities (Native_actor { apid = pid; aname = name; handler });
@@ -948,7 +938,6 @@ let create ~engine ?default_latency ?fifo ?(msg_id_base = 0)
 (* ------------------------------------------------------------------ *)
 
 let set_remote_route t route = t.remote_route <- Some route
-let clear_remote_route t = t.remote_route <- None
 
 let deliver_remote t ?(delay = 0.0) env =
   if delay < 0.0 then invalid_arg "Scheduler.deliver_remote: negative delay";
@@ -966,8 +955,6 @@ let status t pid =
   | { state = Terminated_st; _ } -> Terminated
   | { state = Waiting _ | Acquiring _; _ } -> Blocked
   | { state = Runnable _; _ } -> Running
-
-let user_pids t = Vec.to_list t.spawn_order
 
 let all_terminated t =
   let ok = ref true in

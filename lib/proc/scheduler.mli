@@ -194,8 +194,6 @@ val set_remote_route :
     envelope (it will NOT be dispatched locally); [false] to let it
     flow through the local network unchanged. *)
 
-val clear_remote_route : t -> unit
-
 val deliver_remote : t -> ?delay:float -> Envelope.t -> unit
 (** Inject an envelope that arrived from another shard, [delay] virtual
     seconds from now (default 0: next event-spine turn). The envelope's
@@ -232,8 +230,6 @@ type status =
   | Terminated
 
 val status : t -> Proc_id.t -> status
-val name_of : t -> Proc_id.t -> string
-val user_pids : t -> Proc_id.t list
 val all_terminated : t -> bool
 (** All user processes (not actors) have terminated. *)
 
@@ -256,9 +252,6 @@ val open_checkpoints : t -> Proc_id.t -> int
 val journal_entries : t -> Proc_id.t -> int
 (** Undo records currently journalled for the process's live
     intervals. *)
-
-val held_grants : t -> Proc_id.t -> (Aid.t * Interval_id.t) list
-(** Pessimistic grants the process currently holds, newest first. *)
 
 (** {1 Pessimistic acquisition (called by the HOPE runtime)} *)
 

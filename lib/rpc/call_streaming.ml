@@ -1,7 +1,7 @@
 module Program = Hope_proc.Program
 open Program.Syntax
 
-let guess_call_with ?(name = "worrywart") ~server ~request ~verify () =
+let guess_call ?(name = "worrywart") ~server ~request ~verify () =
   let* x = Program.aid_init () in
   let worrywart =
     let* resp = Rpc.call ~server request in
@@ -9,20 +9,4 @@ let guess_call_with ?(name = "worrywart") ~server ~request ~verify () =
     if ok then Program.affirm x else Program.deny x
   in
   let* _pid = Program.spawn name worrywart in
-  let* ok = Program.guess x in
-  Program.return (ok, x)
-
-let guess_call ?name ~server ~request ~verify () =
-  let* ok, _x = guess_call_with ?name ~server ~request ~verify () in
-  Program.return ok
-
-let ordered_post ~server ~order:_ body =
-  (* The ordering dependency travels in the message tag: the caller holds
-     a guess on the order AID, so this send is tagged with it and the
-     server becomes dependent on it implicitly. *)
-  Rpc.post ~server body
-
-let guess_order () =
-  let* order = Program.aid_init () in
-  let* ok = Program.guess order in
-  Program.return (ok, order)
+  Program.guess x

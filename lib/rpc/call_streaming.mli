@@ -33,29 +33,3 @@ val guess_call :
     performs [call ~server request] and affirms the assumption when
     [verify response] holds, denying it otherwise. Eagerly returns [true].
     The calling process never waits for the server. *)
-
-val guess_call_with :
-  ?name:string ->
-  server:Proc_id.t ->
-  request:Value.t ->
-  verify:(Value.t -> bool Program.t) ->
-  unit ->
-  (bool * Aid.t) Program.t
-(** Like {!guess_call} but also returns the assumption identifier, for
-    callers that need to pass it along (e.g. to combine with an ordering
-    AID as in Figure 2). *)
-
-val ordered_post :
-  server:Proc_id.t -> order:Aid.t -> Value.t -> unit Program.t
-(** Post a one-way request that is ordered {e after} in-flight calls
-    guarded by the [order] AID: the message is sent immediately (keeping
-    the send wait-free) and the receiving server, being implicitly
-    dependent on [order], is rolled back if a WorryWart later detects the
-    ordering violation with [free_of order]. The caller must already hold
-    a guess on [order] — use {!guess_order}. *)
-
-val guess_order : unit -> (bool * Aid.t) Program.t
-(** Create an ordering assumption and guess it: the assumption that
-    subsequent posts do {e not} overtake and invalidate an outstanding
-    call (Figure 2's [Order] AID). Returns the eager [true] and the AID to
-    pass to {!ordered_post} / to check with [free_of]. *)

@@ -55,9 +55,6 @@ type commit = {
 (** One committed event. Message ids and shard ids are deliberately
     absent: both depend on the domain count. *)
 
-val commit_compare : commit -> commit -> int
-(** The deterministic merge order. *)
-
 type ('s, 'p) spec = {
   model : ('s, 'p) Hope_timewarp.Timewarp.model;
   n_lps : int;
@@ -71,7 +68,9 @@ type ('s, 'p) spec = {
 
 type 's result = {
   states : 's array;  (** final LP states, indexed by global LP id *)
-  commits : commit array;  (** sorted by {!commit_compare} *)
+  commits : commit array;
+      (** sorted by [(recv_ts, dst_lp, send_ts, src_lp, digest)], the
+          deterministic merge order *)
   processed : int;  (** executions incl. rolled-back work *)
   committed : int;  (** = [Array.length commits] = sequential event count *)
   rollbacks : int;
@@ -126,7 +125,7 @@ val run :
 
 val merge_into : Hope_obs.Recorder.t -> 's result -> unit
 (** Emit one [Shard_commit] event per committed record, in
-    {!commit_compare} order, at [time = recv_ts] on [proc = dst_lp].
+    merge order, at [time = recv_ts] on [proc = dst_lp].
     Byte-identical downstream chrome traces at any domain count. *)
 
 val commits_digest : 's result -> int

@@ -39,4 +39,3 @@ let shard_id t = t.shard_id
 let shards t = t.shards
 let engine t = t.engine
 let rng t = t.rng
-let is_local t ~lp = owner ~shards:t.shards lp = t.shard_id

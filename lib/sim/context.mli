@@ -35,6 +35,3 @@ val engine : t -> Engine.t
 val rng : t -> Rng.t
 (** The shard's deterministic stream (child [shard_id] of the parent
     seed). Draws here never perturb other shards' streams. *)
-
-val is_local : t -> lp:int -> bool
-(** [is_local t ~lp] iff {!owner} maps [lp] to this shard. *)

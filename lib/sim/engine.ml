@@ -183,30 +183,6 @@ let sched_seq t = Equeue.next_seq t.queue
 
 let cancel h = if h.h_ev.gen = h.h_gen then h.h_ev.cancelled <- true
 
-let step t =
-  if Equeue.is_empty t.queue then false
-  else begin
-    let at = Equeue.min_prio t.queue in
-    let ev = Equeue.pop_min_exn t.queue in
-    (* Read the payload out, then recycle the record before running it:
-       the handler may schedule (and the pool may hand this record back
-       out) — by then we no longer touch it. *)
-    let kind = ev.kind in
-    let fn = ev.fn in
-    let call = ev.call in
-    let i1 = ev.i1 in
-    let i2 = ev.i2 in
-    let cancelled = ev.cancelled in
-    release t ev;
-    if not cancelled then begin
-      t.clock <- at;
-      t.executed <- t.executed + 1;
-      if kind = 1 then fn t else call t i1 i2;
-      if t.clock >= t.next_sample then fire_sampler t
-    end;
-    true
-  end
-
 let stop t = t.stop_requested <- true
 
 let stop_reason_name = function
@@ -219,9 +195,8 @@ let run ?until ?max_events t =
   t.stop_requested <- false;
   let budget = ref (match max_events with Some n -> n | None -> max_int) in
   let horizon = match until with Some u -> u | None -> infinity in
-  (* The loop inlines [step] so the queue's minimum priority is read (and
-     its float boxed) once per event, not once for the horizon check and
-     again for the pop. *)
+  (* The queue's minimum priority is read (and its float boxed) once per
+     event, serving both the horizon check and the clock update. *)
   let rec loop () =
     if t.stop_requested then Stopped
     else if !budget <= 0 then Event_limit
@@ -237,6 +212,9 @@ let run ?until ?max_events t =
       else begin
         decr budget;
         let ev = Equeue.pop_min_exn t.queue in
+        (* Read the payload out, then recycle the record before running
+           it: the handler may schedule (and the pool may hand this
+           record back out) — by then we no longer touch it. *)
         let kind = ev.kind in
         let fn = ev.fn in
         let call = ev.call in

@@ -80,9 +80,6 @@ val run : ?until:float -> ?max_events:int -> t -> stop_reason
 (** Pop and execute events until one of the stop conditions holds. May be
     called repeatedly; the clock persists across calls. *)
 
-val step : t -> bool
-(** Execute exactly one event. Returns [false] when the queue is empty. *)
-
 val stop : t -> unit
 (** Request that {!run} return after the current event completes. *)
 

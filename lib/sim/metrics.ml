@@ -166,13 +166,3 @@ let iter_gauges reg f = Hashtbl.iter (fun k g -> f k g.v) reg.gauges_tbl
 
 let find_counter reg name =
   match Hashtbl.find_opt reg.counters_tbl name with Some c -> c.n | None -> 0
-
-let pp_summary ppf reg =
-  List.iter (fun (k, n) -> Format.fprintf ppf "counter %-40s %d@." k n) (counters reg);
-  List.iter (fun (k, v) -> Format.fprintf ppf "gauge   %-40s %g@." k v) (gauges reg);
-  List.iter
-    (fun (k, h) ->
-      Format.fprintf ppf "hist    %-40s n=%d mean=%g p50=%g p99=%g max=%g@." k
-        (hist_count h) (hist_mean h) (hist_percentile h 50.0)
-        (hist_percentile h 99.0) (hist_max h))
-    (histograms reg)

@@ -81,6 +81,3 @@ val iter_gauges : registry -> (string -> float -> unit) -> unit
 
 val find_counter : registry -> string -> int
 (** Value of a counter, 0 if it was never created. *)
-
-val pp_summary : Format.formatter -> registry -> unit
-(** Human-readable dump of every instrument. *)

@@ -58,7 +58,3 @@ val normal : t -> mu:float -> sigma:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniform element of a non-empty array.
-    @raise Invalid_argument on an empty array. *)

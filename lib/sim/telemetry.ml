@@ -72,13 +72,6 @@ let series t = t.ts
 let stride t = Timeseries.stride t.ts
 let set_on_sample t f = t.on_sample <- f
 
-let add_on_sample t f =
-  let prev = t.on_sample in
-  t.on_sample <-
-    (fun eng tele ->
-      prev eng tele;
-      f eng tele)
-
 let add_pre_sample t f =
   let h = t.next_pre in
   t.next_pre <- h + 1;

@@ -67,32 +67,23 @@ val install : t -> Engine.t -> unit
 val set_on_sample : t -> (Engine.t -> t -> unit) -> unit
 (** Extra per-sample callback (after the sources are read); the
     [--watch] progress line rides on this. Call before or after
-    {!install}. Replaces any previous callback — prefer
-    {!add_on_sample} for composable consumers. *)
-
-val add_on_sample : t -> (Engine.t -> t -> unit) -> unit
-(** Append a per-sample callback after any already installed (including
-    one set via {!set_on_sample}), instead of replacing it. *)
-
-val install_shard : t -> shard:int -> Engine.t -> unit
-(** Register a parallel-engine per-domain registry as a {e snapshot-only}
-    source: no sampler is hooked (the domain is done by the time this is
-    called). {!instruments} then emits each of its families twice — into
-    the unlabeled aggregate (merged with every other engine) and as a
-    [shard="N"] labeled variant. Idempotent per engine. *)
+    {!install}. Replaces any previous callback. *)
 
 val has_shards : t -> bool
-(** True once {!install_shard} / {!absorb_shards} registered at least
-    one per-domain registry — i.e. this telemetry describes a parallel
-    run even though no live sampler ever fired. *)
+(** True once {!absorb_shards} registered at least one per-domain
+    registry — i.e. this telemetry describes a parallel run even though
+    no live sampler ever fired. *)
 
 val absorb_shards :
   t ->
   engines:Engine.t array ->
   samples:Hope_obs.Monitor.shard_sample list ->
   unit
-(** Post-run ingestion of a sharded run ([Shard.result]): installs each
-    per-domain engine via {!install_shard} (index = shard id), feeds the
+(** Post-run ingestion of a sharded run ([Shard.result]): registers each
+    per-domain engine's registry as a {e snapshot-only} source (index =
+    shard id; no sampler is hooked, the domain is done), so
+    {!instruments} emits each of its families twice — into the unlabeled
+    aggregate and as a [shard="N"] labeled variant. Then feeds the
     GVT-epoch samples to {!Hope_obs.Monitor.observe_shards} (arming the
     parallel diagnostics), and records the labeled shard trajectories —
     [hope_shard_lvt]/[_events]/[_stragglers]/[_wasted_events]/

@@ -32,11 +32,6 @@ let iter f v =
     f v.data.(i)
   done
 
-let iteri f v =
-  for i = 0 to v.size - 1 do
-    f i v.data.(i)
-  done
-
 let find_index_from v start p =
   let rec loop i =
     if i >= v.size then None else if p v.data.(i) then Some i else loop (i + 1)

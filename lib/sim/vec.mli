@@ -23,7 +23,6 @@ val truncate : 'a t -> keep:int -> dummy:'a -> unit
     truncate. *)
 
 val iter : ('a -> unit) -> 'a t -> unit
-val iteri : (int -> 'a -> unit) -> 'a t -> unit
 
 val find_index_from : 'a t -> int -> ('a -> bool) -> int option
 (** [find_index_from v i p] is the first index [>= i] whose element

@@ -309,7 +309,6 @@ let stats t =
   }
 
 let state_of t i = t.lps.(i).st
-let lvt_of t i = t.lps.(i).lvt
 
 (* ------------------------------------------------------------------ *)
 (* Sequential reference execution                                      *)

@@ -68,8 +68,6 @@ val stats : ('s, 'p) t -> stats
 val state_of : ('s, 'p) t -> int -> 's
 (** Final (or current) state of an LP. *)
 
-val lvt_of : ('s, 'p) t -> int -> float
-
 (** {1 Sequential reference}
 
     A conservative, single-queue discrete-event execution of the same

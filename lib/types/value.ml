@@ -44,7 +44,6 @@ let shape_error want got =
 
 let to_bool = function Bool b -> b | v -> shape_error "Bool" v
 let to_int = function Int i -> i | v -> shape_error "Int" v
-let to_float = function Float f -> f | v -> shape_error "Float" v
 let to_pid = function Pid p -> p | v -> shape_error "Pid" v
 let to_aid = function Aid_v a -> a | v -> shape_error "Aid" v
 let to_pair = function Pair (a, b) -> (a, b) | v -> shape_error "Pair" v

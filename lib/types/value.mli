@@ -29,7 +29,6 @@ val to_string : t -> string
 
 val to_bool : t -> bool
 val to_int : t -> int
-val to_float : t -> float
 val to_pid : t -> Proc_id.t
 val to_aid : t -> Aid.t
 val to_pair : t -> t * t

@@ -2,7 +2,7 @@ open Hope_types
 module Program = Hope_proc.Program
 module Scheduler = Hope_proc.Scheduler
 module Runtime = Hope_core.Runtime
-module Invariant = Hope_core.Invariant
+module World = Hope_core.World
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
 module Rng = Hope_sim.Rng
@@ -354,11 +354,9 @@ let pessimistic_client p ~store ~client =
 let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
     ?(sched_config = Scheduler.epoch_1995_config) ?(on_setup = ignore) ?policy
     ~mode p =
-  let engine = Engine.create ~seed ?obs () in
-  let sched =
-    Scheduler.create ~engine ~default_latency:latency ~config:sched_config ()
+  let ({ World.engine; scheduler = sched; runtime = rt } as w) =
+    World.create ~seed ?obs ~latency ~sched_config ()
   in
-  let rt = Runtime.install sched () in
   on_setup rt;
   (* Hybrid needs a governor to drive escalation. If the caller already
      installed one (hope_sim --governor) it is respected; otherwise a
@@ -397,34 +395,9 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
           | `Optimistic -> optimistic_client p ~store ~client:i
           | `Hybrid -> hybrid_client p ~guards ~store ~client:i))
   in
-  (match Scheduler.run ~max_events:50_000_000 sched with
-  | Hope_sim.Engine.Quiescent -> ()
-  | reason ->
-    failwith
-      (Format.asprintf "occ did not quiesce: %a" Hope_sim.Engine.pp_stop_reason
-         reason));
-  (match Invariant.check_all rt with
-  | [] -> ()
-  | vs ->
-    failwith
-      (Format.asprintf "occ invariant violations: %a"
-         (Format.pp_print_list Invariant.pp_violation)
-         vs));
-  let makespan =
-    List.fold_left
-      (fun acc c ->
-        match Scheduler.completion_time sched c with
-        | Some at -> Float.max acc at
-        | None ->
-          failwith
-            (Printf.sprintf "occ client %s did not terminate (status %s)"
-               (Proc_id.to_string c)
-               (match Scheduler.status sched c with
-               | Scheduler.Running -> "running"
-               | Scheduler.Blocked -> "blocked"
-               | Scheduler.Terminated -> "terminated")))
-      0.0 clients
-  in
+  World.run_to_quiescence ~what:"occ" ~max_events:50_000_000 w;
+  World.check_invariants ~what:"occ" w;
+  let makespan = World.makespan ~what:"occ" w clients in
   (* Probe the final store state (a definite process: the answer is the
      committed truth). *)
   let version_sum = ref (-1) in
@@ -433,9 +406,7 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
        (let* total = Rpc.call ~server:store stats_marker in
         Program.lift (fun () -> version_sum := Value.to_int total))
       : Proc_id.t);
-  (match Scheduler.run ~max_events:1_000_000 sched with
-  | Hope_sim.Engine.Quiescent -> ()
-  | _ -> failwith "occ probe did not quiesce");
+  World.run_to_quiescence ~what:"occ probe" ~max_events:1_000_000 w;
   let committed = p.clients * p.transactions in
   let expected_writes =
     List.init p.clients (fun c ->

@@ -1,8 +1,7 @@
 open Hope_types
 module Program = Hope_proc.Program
 module Scheduler = Hope_proc.Scheduler
-module Runtime = Hope_core.Runtime
-module Invariant = Hope_core.Invariant
+module World = Hope_core.World
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
 module Timewarp = Hope_timewarp.Timewarp
@@ -99,11 +98,11 @@ let run_timewarp ?(seed = 42) p =
   let tw = Timewarp.create ~engine cfg (model p) in
   List.iter (fun (dst, ts, job) -> Timewarp.inject tw ~dst ~ts job) (seeds p);
   (match Timewarp.run tw with
-  | Hope_sim.Engine.Quiescent -> ()
-  | reason ->
+  | Engine.(Event_limit | Stopped | Time_limit) as reason ->
     failwith
       (Format.asprintf "phold/timewarp did not quiesce: %a"
-         Hope_sim.Engine.pp_stop_reason reason));
+         Engine.pp_stop_reason reason)
+  | _ -> ());
   let st = Timewarp.stats tw in
   {
     checksums =
@@ -292,13 +291,12 @@ let hope_lp p ~lp_id ~peers ~results =
   loop { lvt = neg_infinity; buffer = []; outstanding = []; st = { handled = 0; checksum = 0 } }
 
 let run_hope ?(seed = 42) ?obs ?(on_setup = ignore) p =
-  let engine = Engine.create ~seed ?obs () in
-  let sched =
-    Scheduler.create ~engine ~default_latency:p.latency
-      ~config:Scheduler.free_config ()
+  let w =
+    World.create ~seed ?obs ~latency:p.latency
+      ~sched_config:Scheduler.free_config ()
   in
-  let rt = Runtime.install sched () in
-  on_setup rt;
+  let sched = w.World.scheduler in
+  on_setup w.runtime;
   let results : (int, lp_state) Hashtbl.t = Hashtbl.create 16 in
   let peers = Array.make p.n_lps (Proc_id.of_int 0) in
   for i = 0 to p.n_lps - 1 do
@@ -312,28 +310,14 @@ let run_hope ?(seed = 42) ?obs ?(on_setup = ignore) p =
       Scheduler.send_user sched ~src:driver ~dst:peers.(dst) ~tags:Aid.Set.empty
         (encode_event ~ts job))
     (seeds p);
-  let quiesce what =
-    match Scheduler.run ~max_events:50_000_000 sched with
-    | Hope_sim.Engine.Quiescent -> ()
-    | reason ->
-      failwith
-        (Format.asprintf "phold/hope did not quiesce (%s): %a" what
-           Hope_sim.Engine.pp_stop_reason reason)
-  in
-  quiesce "events";
+  World.run_to_quiescence ~what:"phold/hope events" ~max_events:50_000_000 w;
   Array.iter
     (fun lp ->
       Scheduler.send_user sched ~src:driver ~dst:lp ~tags:Aid.Set.empty flush_marker)
     peers;
-  quiesce "flush";
-  (match Invariant.check_all rt with
-  | [] -> ()
-  | vs ->
-    failwith
-      (Format.asprintf "phold/hope invariant violations: %a"
-         (Format.pp_print_list Invariant.pp_violation)
-         vs));
-  let m = Engine.metrics engine in
+  World.run_to_quiescence ~what:"phold/hope flush" ~max_events:50_000_000 w;
+  World.check_invariants ~what:"phold/hope" w;
+  let m = Engine.metrics w.engine in
   let checksums = Array.make p.n_lps 0 in
   let handled = ref 0 in
   Hashtbl.iter
@@ -347,5 +331,5 @@ let run_hope ?(seed = 42) ?obs ?(on_setup = ignore) p =
     processed = Metrics.find_counter m "phold.events";
     rollbacks = Metrics.find_counter m "hope.rollbacks";
     messages = Metrics.find_counter m "net.user_and_ctl_sends";
-    physical_time = Engine.now engine;
+    physical_time = Engine.now w.engine;
   }

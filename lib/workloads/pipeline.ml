@@ -1,8 +1,7 @@
 open Hope_types
 module Program = Hope_proc.Program
 module Scheduler = Hope_proc.Scheduler
-module Runtime = Hope_core.Runtime
-module Invariant = Hope_core.Invariant
+module World = Hope_core.World
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
 module Rng = Hope_sim.Rng
@@ -123,12 +122,9 @@ let speculative_worker p ~oracle ~window =
 
 let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
     ?(sched_config = Scheduler.epoch_1995_config) ?(on_setup = ignore) ~mode p =
-  let engine = Engine.create ~seed ?obs () in
-  let sched =
-    Scheduler.create ~engine ~default_latency:latency ~config:sched_config ()
-  in
-  let rt = Runtime.install sched () in
-  on_setup rt;
+  let w = World.create ~seed ?obs ~latency ~sched_config () in
+  let sched = w.World.scheduler in
+  on_setup w.runtime;
   let worker_name = "pipeline-worker" in
   let worker_body oracle =
     match mode with
@@ -154,25 +150,10 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
       worker_ref := Some w;
       w
   in
-  (match Scheduler.run ~max_events:50_000_000 sched with
-  | Hope_sim.Engine.Quiescent -> ()
-  | reason ->
-    failwith
-      (Format.asprintf "pipeline did not quiesce: %a"
-         Hope_sim.Engine.pp_stop_reason reason));
-  (match Invariant.check_all rt with
-  | [] -> ()
-  | vs ->
-    failwith
-      (Format.asprintf "pipeline invariant violations: %a"
-         (Format.pp_print_list Invariant.pp_violation)
-         vs));
-  let completion_time =
-    match Scheduler.completion_time sched worker with
-    | Some at -> at
-    | None -> failwith "pipeline worker did not terminate"
-  in
-  let m = Engine.metrics engine in
+  World.run_to_quiescence ~what:"pipeline" ~max_events:50_000_000 w;
+  World.check_invariants ~what:"pipeline" w;
+  let completion_time = World.makespan ~what:"pipeline" w [ worker ] in
+  let m = Engine.metrics w.engine in
   {
     completion_time;
     rollbacks = Metrics.find_counter m "hope.rollbacks";

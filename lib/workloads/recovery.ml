@@ -1,8 +1,7 @@
 open Hope_types
 module Program = Hope_proc.Program
 module Scheduler = Hope_proc.Scheduler
-module Runtime = Hope_core.Runtime
-module Invariant = Hope_core.Invariant
+module World = Hope_core.World
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
 module Rng = Hope_sim.Rng
@@ -117,12 +116,9 @@ let receiver_body p =
 
 let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
     ?(sched_config = Scheduler.epoch_1995_config) ?(on_setup = ignore) ~mode p =
-  let engine = Engine.create ~seed ?obs () in
-  let sched =
-    Scheduler.create ~engine ~default_latency:latency ~config:sched_config ()
-  in
-  let rt = Runtime.install sched () in
-  on_setup rt;
+  let w = World.create ~seed ?obs ~latency ~sched_config () in
+  let sched = w.World.scheduler in
+  on_setup w.runtime;
   let logger =
     Scheduler.spawn sched ~node:1 ~name:"logger"
       (match mode with `Pessimistic -> rpc_logger p | `Optimistic -> hope_logger p)
@@ -134,25 +130,10 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
       | `Pessimistic -> pessimistic_sender p ~logger ~receiver
       | `Optimistic -> optimistic_sender p ~logger ~receiver)
   in
-  (match Scheduler.run ~max_events:50_000_000 sched with
-  | Hope_sim.Engine.Quiescent -> ()
-  | reason ->
-    failwith
-      (Format.asprintf "recovery did not quiesce: %a"
-         Hope_sim.Engine.pp_stop_reason reason));
-  (match Invariant.check_all rt with
-  | [] -> ()
-  | vs ->
-    failwith
-      (Format.asprintf "recovery invariant violations: %a"
-         (Format.pp_print_list Invariant.pp_violation)
-         vs));
-  let makespan =
-    match Scheduler.completion_time sched receiver with
-    | Some at -> at
-    | None -> failwith "recovery receiver did not terminate"
-  in
-  let m = Engine.metrics engine in
+  World.run_to_quiescence ~what:"recovery" ~max_events:50_000_000 w;
+  World.check_invariants ~what:"recovery" w;
+  let makespan = World.makespan ~what:"recovery" w [ receiver ] in
+  let m = Engine.metrics w.engine in
   {
     makespan;
     rollbacks = Metrics.find_counter m "hope.rollbacks";

@@ -1,8 +1,7 @@
 open Hope_types
 module Program = Hope_proc.Program
 module Scheduler = Hope_proc.Scheduler
-module Runtime = Hope_core.Runtime
-module Invariant = Hope_core.Invariant
+module World = Hope_core.World
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
 module Rng = Hope_sim.Rng
@@ -113,12 +112,9 @@ let optimistic_replica p ~primary ~replica =
 
 let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
     ?(sched_config = Scheduler.epoch_1995_config) ?(on_setup = ignore) ~mode p =
-  let engine = Engine.create ~seed ?obs () in
-  let sched =
-    Scheduler.create ~engine ~default_latency:latency ~config:sched_config ()
-  in
-  let rt = Runtime.install sched () in
-  on_setup rt;
+  let w = World.create ~seed ?obs ~latency ~sched_config () in
+  let sched = w.World.scheduler in
+  on_setup w.runtime;
   let primary =
     Scheduler.spawn sched ~node:0 ~name:"primary"
       (match mode with
@@ -134,28 +130,10 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
         in
         Scheduler.spawn sched ~node:(i + 1) ~name:(Printf.sprintf "replica-%d" i) body)
   in
-  (match Scheduler.run ~max_events:50_000_000 sched with
-  | Hope_sim.Engine.Quiescent -> ()
-  | reason ->
-    failwith
-      (Format.asprintf "replication did not quiesce: %a"
-         Hope_sim.Engine.pp_stop_reason reason));
-  (match Invariant.check_all rt with
-  | [] -> ()
-  | vs ->
-    failwith
-      (Format.asprintf "replication invariant violations: %a"
-         (Format.pp_print_list Invariant.pp_violation)
-         vs));
-  let makespan =
-    List.fold_left
-      (fun acc c ->
-        match Scheduler.completion_time sched c with
-        | Some at -> Float.max acc at
-        | None -> failwith "replication client did not terminate")
-      0.0 clients
-  in
-  let m = Engine.metrics engine in
+  World.run_to_quiescence ~what:"replication" ~max_events:50_000_000 w;
+  World.check_invariants ~what:"replication" w;
+  let makespan = World.makespan ~what:"replication" w clients in
+  let m = Engine.metrics w.engine in
   let committed = p.replicas * p.updates in
   {
     makespan;

@@ -2,7 +2,7 @@ open Hope_types
 module Program = Hope_proc.Program
 module Scheduler = Hope_proc.Scheduler
 module Runtime = Hope_core.Runtime
-module Invariant = Hope_core.Invariant
+module World = Hope_core.World
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
 module Rpc = Hope_rpc.Rpc
@@ -120,12 +120,9 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.wan) ?fifo
     ?(sched_config = Scheduler.epoch_1995_config)
     ?(hope_config = Runtime.default_config) ?on_quiescence
     ?(on_setup = ignore) ~mode p =
-  let engine = Engine.create ~seed ?obs () in
-  let sched =
-    Scheduler.create ~engine ~default_latency:latency ?fifo ~config:sched_config ()
-  in
-  let rt = Runtime.install sched ~config:hope_config () in
-  on_setup rt;
+  let w = World.create ~seed ?obs ~latency ?fifo ~sched_config ~hope_config () in
+  let sched = w.World.scheduler in
+  on_setup w.runtime;
   let server = Scheduler.spawn sched ~node:1 ~name:"print-server" (print_server p) in
   let worker_body =
     match mode with
@@ -133,26 +130,11 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.wan) ?fifo
     | `Optimistic -> optimistic_worker p ~server
   in
   let worker = Scheduler.spawn sched ~node:0 ~name:"worker" worker_body in
-  (match Scheduler.run ~max_events:20_000_000 sched with
-  | Hope_sim.Engine.Quiescent -> ()
-  | reason ->
-    failwith
-      (Format.asprintf "report workload did not quiesce: %a"
-         Hope_sim.Engine.pp_stop_reason reason));
-  (match Invariant.check_all rt with
-  | [] -> ()
-  | vs ->
-    failwith
-      (Format.asprintf "report workload invariant violations: %a"
-         (Format.pp_print_list Invariant.pp_violation)
-         vs));
-  (match on_quiescence with Some f -> f rt | None -> ());
-  let completion_time =
-    match Scheduler.completion_time sched worker with
-    | Some at -> at
-    | None -> failwith "report worker did not terminate"
-  in
-  let m = Engine.metrics engine in
+  World.run_to_quiescence ~what:"report" ~max_events:20_000_000 w;
+  World.check_invariants ~what:"report" w;
+  (match on_quiescence with Some f -> f w.runtime | None -> ());
+  let completion_time = World.makespan ~what:"report" w [ worker ] in
+  let m = Engine.metrics w.engine in
   {
     completion_time;
     rollbacks = Metrics.find_counter m "hope.rollbacks";

@@ -1,8 +1,7 @@
 open Hope_types
 module Program = Hope_proc.Program
 module Scheduler = Hope_proc.Scheduler
-module Runtime = Hope_core.Runtime
-module Invariant = Hope_core.Invariant
+module World = Hope_core.World
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
 module Rpc = Hope_rpc.Rpc
@@ -119,12 +118,9 @@ let pessimistic_coordinator p =
 
 let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
     ?(sched_config = Scheduler.epoch_1995_config) ?(on_setup = ignore) ~mode p =
-  let engine = Engine.create ~seed ?obs () in
-  let sched =
-    Scheduler.create ~engine ~default_latency:latency ~config:sched_config ()
-  in
-  let rt = Runtime.install sched () in
-  on_setup rt;
+  let w = World.create ~seed ?obs ~latency ~sched_config () in
+  let sched = w.World.scheduler in
+  on_setup w.runtime;
   let coordinator =
     Scheduler.spawn sched ~node:0 ~name:"coordinator"
       (match mode with
@@ -138,28 +134,10 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
           | `Pessimistic -> pessimistic_worker p ~coordinator ~worker:w
           | `Optimistic -> optimistic_worker p ~coordinator ~worker:w))
   in
-  (match Scheduler.run ~max_events:50_000_000 sched with
-  | Hope_sim.Engine.Quiescent -> ()
-  | reason ->
-    failwith
-      (Format.asprintf "scientific did not quiesce: %a"
-         Hope_sim.Engine.pp_stop_reason reason));
-  (match Invariant.check_all rt with
-  | [] -> ()
-  | vs ->
-    failwith
-      (Format.asprintf "scientific invariant violations: %a"
-         (Format.pp_print_list Invariant.pp_violation)
-         vs));
-  let makespan =
-    List.fold_left
-      (fun acc w ->
-        match Scheduler.completion_time sched w with
-        | Some at -> Float.max acc at
-        | None -> failwith "scientific worker did not terminate")
-      0.0 workers
-  in
-  let m = Engine.metrics engine in
+  World.run_to_quiescence ~what:"scientific" ~max_events:50_000_000 w;
+  World.check_invariants ~what:"scientific" w;
+  let makespan = World.makespan ~what:"scientific" w workers in
+  let m = Engine.metrics w.engine in
   let useful = p.workers * (p.converge_at + 1) in
   {
     makespan;

@@ -87,21 +87,26 @@ let test_report_deterministic () =
     b.Report.completion_time;
   Alcotest.(check int) "same message count" a.Report.messages b.Report.messages
 
+let export_digest fmt obs =
+  Digest.to_hex
+    (Digest.string (Hope_obs.Obs.export_string fmt (Hope_obs.Recorder.events obs)))
+
 (* The whole optimistic WAN trace, pinned: every message the AID machines
    broadcast appears in it in emission order, so a change to DOM's
-   representation or broadcast order changes this digest. Regenerate the
-   constant only for a change that means to alter the trace. *)
+   representation or broadcast order changes this digest. The summary
+   digest pins every number the Analytics report prints for the run.
+   Regenerate a constant only for a change that means to alter it. *)
 let test_report_wan_trace_pinned () =
   let obs = Hope_obs.Recorder.create () in
   Hope_obs.Recorder.enable obs;
   let p = { Report.default_params with sections = 12 } in
   ignore (Report.run ~seed:42 ~obs ~latency:Latency.wan ~mode:`Optimistic p : Report.result);
-  let chrome =
-    Hope_obs.Obs.export_string Hope_obs.Obs.Chrome (Hope_obs.Recorder.events obs)
-  in
   Alcotest.(check string)
     "chrome trace digest" "41fb32d267682e459005cafaae1dcdba"
-    (Digest.to_hex (Digest.string chrome))
+    (export_digest Hope_obs.Obs.Chrome obs);
+  Alcotest.(check string)
+    "summary digest" "a767c0a311e6972d5a98c491bf659186"
+    (export_digest Hope_obs.Obs.Summary obs)
 
 (* --------------------------- pipeline ----------------------------- *)
 
@@ -225,18 +230,19 @@ let test_phold_cut_logged_once () =
 
 (* The same run's chrome trace, pinned: it carries every Cycle_cut event
    in emission order, so a change to which candidates a Replace cuts, or
-   in what order, changes this digest. Regenerate the constant only for a
-   change that means to alter the trace. *)
+   in what order, changes this digest. The summary digest pins the
+   Analytics report of the run. Regenerate a constant only for a change
+   that means to alter it. *)
 let test_phold_cut_trace_pinned () =
   let obs = Hope_obs.Recorder.create () in
   Hope_obs.Recorder.enable obs;
   ignore (Phold.run_hope ~seed:42 ~obs cut_phold : Phold.outcome);
-  let chrome =
-    Hope_obs.Obs.export_string Hope_obs.Obs.Chrome (Hope_obs.Recorder.events obs)
-  in
   Alcotest.(check string)
     "chrome trace digest" "72c5ba6fd4c2c13dda3b2c2da93dcef7"
-    (Digest.to_hex (Digest.string chrome))
+    (export_digest Hope_obs.Obs.Chrome obs);
+  Alcotest.(check string)
+    "summary digest" "6aee4a6f6e9e312b188f4d9331552039"
+    (export_digest Hope_obs.Obs.Summary obs)
 
 let test_job_routing_deterministic () =
   let j = { Job.job_id = 3; hop = 7 } in
