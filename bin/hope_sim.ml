@@ -828,6 +828,15 @@ let occ_cmd =
         store_cost;
       }
     in
+    (* Hybrid needs a governor. Installing it here puts it on the one
+       telemetry [with_obs] builds, so --metrics, --watch and --health see
+       the run; left to [Occ.run], it would bring a second telemetry that
+       takes the recorder's tap and the engine's sampler. *)
+    let opts =
+      if mode = `Hybrid && opts.governor = None then
+        { opts with governor = Some Policy.hybrid }
+      else opts
+    in
     let r =
       with_obs opts (fun ~obs ~tele:_ ~on_setup ->
           Occ.run ~seed ~obs ~latency ~mode ~on_setup p)

@@ -18,7 +18,6 @@ type t = {
   mutable a_ido : Aid.Set.t;
   mutable affirmer : Interval_id.t option;
       (** the interval whose speculative affirm put us in [Maybe] *)
-  strict : bool;
   mutable redundant : int;
   mutable user_errors : int;
   mutable retired : bool;
@@ -43,19 +42,15 @@ type t = {
 
 type action = Reply of { iid : Interval_id.t; wire : Wire.t }
 
-exception User_error of string
-
 let no_transition _ _ _ = ()
 
-let create ?(strict = false) ?(on_transition = no_transition) ?(max_queue = 64)
-    aid =
+let create ?(on_transition = no_transition) ?(max_queue = 64) aid =
   {
     aid;
     state = Cold;
     dom = { ids = [||]; len = 0; sorted = true };
     a_ido = Aid.Set.empty;
     affirmer = None;
-    strict;
     redundant = 0;
     user_errors = 0;
     retired = false;
@@ -81,14 +76,6 @@ let state_name = function
   | Maybe -> "Maybe"
   | True_ -> "True"
   | False_ -> "False"
-
-let user_error t what =
-  t.user_errors <- t.user_errors + 1;
-  if t.strict then
-    raise
-      (User_error
-         (Printf.sprintf "%s: %s while %s" (Aid.to_string t.aid) what
-            (state_name t.state)))
 
 (* Append [iid]. An id above the last one keeps the prefix sorted and a
    repeat of the last one is dropped, so in-order registration never
@@ -179,7 +166,7 @@ let process_affirm t iid ido ~reply =
     end;
     dom_iter (fun b -> reply t.aid b (Wire.Replace { iid = b; ido })) t.dom
   | True_ -> t.redundant <- t.redundant + 1
-  | False_ -> user_error t "Affirm after Deny"
+  | False_ -> t.user_errors <- t.user_errors + 1
 
 (* ----------------------------------------------------------------- *)
 (* Pessimistic overlay (DESIGN.md §10). Orthogonal to the five-state
@@ -287,7 +274,7 @@ let process_deny t ~reply =
     dom_iter (fun b -> reply t.aid b (Wire.Rollback { iid = b })) t.dom;
     abort_all_waiters t ~reply
   | False_ -> t.redundant <- t.redundant + 1
-  | True_ -> user_error t "Deny after Affirm"
+  | True_ -> t.user_errors <- t.user_errors + 1
 
 (* Retract a speculative affirm whose interval rolled back: the affirm
    "never happened", so the state returns to Hot and the (re-executed)

@@ -50,9 +50,11 @@ type t = {
   mutable affirmer : Interval_id.t option;
       (** the interval whose speculative affirm holds us in [Maybe]; its
           rollback revokes the affirm (Revoke returns us to [Hot]) *)
-  strict : bool;
   mutable redundant : int;  (** redundant affirm/deny messages ignored *)
-  mutable user_errors : int;  (** conflicting affirm/deny messages ignored *)
+  mutable user_errors : int;
+      (** conflicting affirm/deny messages (affirm after deny, deny after
+          affirm) counted and ignored — the paper's "abort: user error",
+          which [hope_sim --check] reports as ["aid-finality"] *)
   mutable retired : bool;  (** tracking sets reclaimed (see {!retire}) *)
   on_transition : Aid.t -> state -> state -> unit;
       (** observer hook, called as [on_transition aid from to_] at every
@@ -75,24 +77,19 @@ type t = {
 type action = Reply of { iid : Interval_id.t; wire : Wire.t }
 (** Send [wire] to the process owning interval [iid]. *)
 
-exception User_error of string
-(** Raised in strict mode on a conflicting affirm-after-deny or
-    deny-after-affirm (the paper's "abort: user error"). *)
-
 val create :
-  ?strict:bool ->
   ?on_transition:(Aid.t -> state -> state -> unit) ->
   ?max_queue:int ->
   Aid.t ->
   t
-(** A fresh machine in state [Cold], mode [Optimistic]. With [strict]
-    (default false) the machine raises {!User_error} where Figures 7–8
-    say "abort"; otherwise it counts and ignores, which is what
-    rollback-driven re-execution needs in practice (see DESIGN.md §3.2).
-    [on_transition] observes every state change (default: no-op).
-    [max_queue] (default 64) bounds the acquisition queue: an Acquire
-    that would exceed it is aborted immediately, keeping queued waits
-    finite even under unbounded demand. *)
+(** A fresh machine in state [Cold], mode [Optimistic]. Where Figures 7–8
+    say "abort: user error" the machine counts [user_errors] and ignores
+    the message, which is what rollback-driven re-execution needs in
+    practice (see DESIGN.md §3.2). [on_transition] observes every state
+    change (default: no-op). [max_queue] (default 64) bounds the
+    acquisition queue: an Acquire that would exceed it is aborted
+    immediately, keeping queued waits finite even under unbounded
+    demand. *)
 
 val handle_into :
   t -> Wire.t -> reply:(Aid.t -> Interval_id.t -> Wire.t -> unit) -> unit
@@ -105,10 +102,9 @@ val handle_into :
     callback for every machine — this is the runtime's per-message hot
     path, and it allocates no action list. Acquire/Abort/Release are
     served by the pessimistic overlay (Abort inbound means the waiter
-    withdrew; no reply is sent for it). @raise User_error in strict
-    mode as described above; @raise Invalid_argument if the message is a
-    Replace, Rollback, Rebind, or Grant, which AID processes never
-    receive. *)
+    withdrew; no reply is sent for it). @raise Invalid_argument if the
+    message is a Replace, Rollback, Rebind, or Grant, which AID processes
+    never receive. *)
 
 val handle : t -> Wire.t -> action list
 (** [handle_into] with the replies collected into a list, in emission

@@ -51,9 +51,8 @@ let handle_replace ?emit ?cut algorithm hist ~target ~sender ~ido ~on_cycle_cut 
       | Algorithm_1 -> ()
       | Algorithm_2 -> itv.History.udo <- Aid.Set.add sender itv.History.udo);
       let cycle_cut y =
-        let first = not itv.History.cut in
         itv.History.cut <- true;
-        on_cycle_cut ~first target y
+        on_cycle_cut target y
       in
       (* One ascending walk over the replacement set: each candidate is cut,
          already a dependency, or fresh. The fresh ones (collected newest

@@ -50,19 +50,16 @@ val handle_replace :
   target:Interval_id.t ->
   sender:Aid.t ->
   ido:Aid.Set.t ->
-  on_cycle_cut:(first:bool -> Interval_id.t -> Aid.t -> unit) ->
+  on_cycle_cut:(Interval_id.t -> Aid.t -> unit) ->
   action list
 (** Apply a [<Replace, target, ido>] from AID [sender]. Stale messages
     (the target interval is no longer live, or the sender is not among its
     dependencies) are ignored. The replacement set is walked once, in
     ascending AID order, and every candidate the walk discards is reported
-    as it is discarded: [on_cycle_cut ~first target aid], so cuts arrive
-    in ascending order. [first] is [true] exactly on the interval's first
-    cut — the interval's {!History.interval.cut} flag was still clear —
-    and the flag is set before the call; a caller that logs one fact per
-    interval tests [first] instead of keeping its own table. [target] is
-    passed back so the caller can use one long-lived callback instead of
-    closing over the interval per message. Under Algorithm 2 a candidate
+    as it is discarded: [on_cycle_cut target aid], so cuts arrive in
+    ascending order, after the interval's {!History.interval.cut} flag is
+    set. [target] is passed back so the caller can use one long-lived
+    callback instead of closing over the interval per message. Under Algorithm 2 a candidate
     in the interval's UDO is cut. [cut], when given, is consulted for
     every candidate the UDO check let through (under either algorithm),
     in the same ascending order: returning [true] discards the candidate

@@ -1,16 +1,5 @@
 open Hope_types
 
-type fate = Finalized | Rolled_back | Still_open
-
-type interval_info = {
-  iid : Interval_id.t;
-  kind : History.kind;
-  ido0 : Aid.Set.t;
-  started_at : float;
-  fate : fate;
-  cycle_cut : bool;
-}
-
 type summary = {
   intervals : int;
   finalized : int;
@@ -25,77 +14,34 @@ type summary = {
 }
 
 type t = {
-  by_process : (Proc_id.t, interval_info list) Hashtbl.t;  (** newest first *)
+  by_process : (Proc_id.t * History.interval list) list;
+      (** ascending pid; only processes that opened an interval *)
   totals : summary;
 }
 
-type building = {
-  b_iid : Interval_id.t;
-  b_kind : History.kind;
-  b_ido0 : Aid.Set.t;
-  b_at : float;
-  mutable b_fate : fate;
-  mutable b_cut : bool;
-}
-
 let of_runtime rt =
-  let intervals : (Interval_id.t, building) Hashtbl.t = Hashtbl.create 64 in
-  let order : Interval_id.t list ref = ref [] in
-  Runtime.iter_events
-    (fun ev ->
-      match ev with
-      | Runtime.Interval_started { iid; kind; ido; at } ->
-        Hashtbl.replace intervals iid
-          {
-            b_iid = iid;
-            b_kind = kind;
-            b_ido0 = ido;
-            b_at = at;
-            b_fate = Still_open;
-            b_cut = false;
-          };
-        order := iid :: !order
-      | Runtime.Interval_finalized iid -> (
-        match Hashtbl.find_opt intervals iid with
-        | Some b -> b.b_fate <- Finalized
-        | None -> ())
-      | Runtime.Interval_rolled_back iid -> (
-        match Hashtbl.find_opt intervals iid with
-        | Some b -> b.b_fate <- Rolled_back
-        | None -> ())
-      | Runtime.Cycle_cut { iid; _ } -> (
-        match Hashtbl.find_opt intervals iid with
-        | Some b -> b.b_cut <- true
-        | None -> ()))
-    rt;
-  let by_process = Hashtbl.create 16 in
-  List.iter
-    (fun iid ->
-      let b = Hashtbl.find intervals iid in
-      let info =
-        {
-          iid = b.b_iid;
-          kind = b.b_kind;
-          ido0 = b.b_ido0;
-          started_at = b.b_at;
-          fate = b.b_fate;
-          cycle_cut = b.b_cut;
-        }
-      in
-      let owner = Interval_id.owner iid in
-      let existing = Option.value (Hashtbl.find_opt by_process owner) ~default:[] in
-      Hashtbl.replace by_process owner (info :: existing))
-    (List.rev !order);
+  let by_process =
+    List.filter_map
+      (fun h ->
+        match History.intervals h with
+        | [] -> None
+        | itvs -> Some (History.owner h, itvs))
+      (Runtime.histories rt)
+  in
   (* Tally interval fates and AID outcomes. *)
-  let finalized = ref 0 and rolled = ref 0 and open_ = ref 0 and cuts = ref 0 in
-  Hashtbl.iter
-    (fun _ b ->
-      if b.b_cut then incr cuts;
-      match b.b_fate with
-      | Finalized -> incr finalized
-      | Rolled_back -> incr rolled
-      | Still_open -> incr open_)
-    intervals;
+  let intervals = ref 0 and finalized = ref 0 and rolled = ref 0 and cuts = ref 0 in
+  List.iter
+    (fun (_, itvs) ->
+      List.iter
+        (fun (itv : History.interval) ->
+          incr intervals;
+          if itv.cut then incr cuts;
+          match itv.fate with
+          | History.Finalized -> incr finalized
+          | History.Rolled_back -> incr rolled
+          | History.Live -> ())
+        itvs)
+    by_process;
   let aids_true = ref 0 and aids_false = ref 0 and aids_open = ref 0 in
   List.iter
     (fun aid ->
@@ -107,10 +53,10 @@ let of_runtime rt =
   let closed = !finalized + !rolled in
   let totals =
     {
-      intervals = Hashtbl.length intervals;
+      intervals = !intervals;
       finalized = !finalized;
       rolled_back = !rolled;
-      still_open = !open_;
+      still_open = !intervals - closed;
       aids = !aids_true + !aids_false + !aids_open;
       aids_true = !aids_true;
       aids_false = !aids_false;
@@ -125,16 +71,14 @@ let of_runtime rt =
 let summary t = t.totals
 
 let intervals_of t pid =
-  Option.value (Hashtbl.find_opt t.by_process pid) ~default:[] |> List.rev
+  Option.value (List.assoc_opt pid t.by_process) ~default:[]
 
-let processes t =
-  Hashtbl.fold (fun pid _ acc -> pid :: acc) t.by_process []
-  |> List.sort Proc_id.compare
+let processes t = List.map fst t.by_process
 
 let fate_name = function
-  | Finalized -> "finalized"
-  | Rolled_back -> "rolled back"
-  | Still_open -> "still open"
+  | History.Finalized -> "finalized"
+  | History.Rolled_back -> "rolled back"
+  | History.Live -> "still open"
 
 let pp_summary ppf s =
   Format.fprintf ppf
@@ -149,21 +93,19 @@ let pp_summary ppf s =
       else Format.fprintf ppf "%.0f%%" (100.0 *. v))
     s.speculation_accuracy
 
-let pp_interval ppf info =
+let pp_interval ppf (itv : History.interval) =
   Format.fprintf ppf "%-10s @%8.4fs %-6s deps=%-30s %s%s"
-    (Interval_id.to_string info.iid) info.started_at
-    (match info.kind with History.Explicit -> "guess" | History.Implicit -> "recv")
-    (Format.asprintf "%a" Aid.Set.pp info.ido0)
-    (fate_name info.fate)
-    (if info.cycle_cut then " [cycle cut]" else "")
+    (Interval_id.to_string itv.iid) itv.started_at
+    (match itv.kind with History.Explicit -> "guess" | History.Implicit -> "recv")
+    (Format.asprintf "%a" Aid.Set.pp itv.ido0)
+    (fate_name itv.fate)
+    (if itv.cut then " [cycle cut]" else "")
 
 let pp ppf t =
   Format.fprintf ppf "@[<v>=== speculation report ===@,%a@,@," pp_summary t.totals;
   List.iter
-    (fun pid ->
+    (fun (pid, itvs) ->
       Format.fprintf ppf "%a:@," Proc_id.pp pid;
-      List.iter
-        (fun info -> Format.fprintf ppf "  %a@," pp_interval info)
-        (intervals_of t pid))
-    (processes t);
+      List.iter (fun itv -> Format.fprintf ppf "  %a@," pp_interval itv) itvs)
+    t.by_process;
   Format.fprintf ppf "@]"

@@ -1,27 +1,17 @@
-(** Post-mortem reconstruction of a run's speculation structure.
+(** Post-mortem report of a run's speculation structure.
 
-    Rebuilds, from the runtime's event log, what happened to every
-    interval of every process — opened how (explicit guess, tagged
-    receive), depending on what, and its fate (finalized, rolled back, or
-    still open) — plus the fate of every assumption. Used by the CLI's
-    [--explain] flag and by tests that assert on speculation structure.
+    Reads, from the runtime's histories ({!Runtime.histories}), what
+    happened to every interval of every process — opened how (explicit
+    guess, tagged receive), depending on what, and its fate (finalized,
+    rolled back, or still open) — plus the fate of every assumption. Used
+    by the CLI's [--explain] flag and by tests that assert on speculation
+    structure.
 
     This is the observability a real deployment of an optimism runtime
     needs: "why did this computation re-execute?" is answered by the
     rolled-back interval's dependency set. *)
 
 open Hope_types
-
-type fate = Finalized | Rolled_back | Still_open
-
-type interval_info = {
-  iid : Interval_id.t;
-  kind : History.kind;
-  ido0 : Aid.Set.t;  (** dependencies at creation *)
-  started_at : float;  (** virtual time the interval opened *)
-  fate : fate;
-  cycle_cut : bool;  (** Algorithm 2 discarded a dependency of it *)
-}
 
 type summary = {
   intervals : int;
@@ -47,8 +37,8 @@ val of_runtime : Runtime.t -> t
 
 val summary : t -> summary
 
-val intervals_of : t -> Proc_id.t -> interval_info list
-(** Oldest first. *)
+val intervals_of : t -> Proc_id.t -> History.interval list
+(** Every interval the process opened, oldest first ({!History.intervals}). *)
 
 val processes : t -> Proc_id.t list
 (** Every process that opened at least one interval, ascending. *)

@@ -1,16 +1,19 @@
 open Hope_types
 
 type kind = Explicit | Implicit
+type fate = Live | Finalized | Rolled_back
 
 type interval = {
   iid : Interval_id.t;
   kind : kind;
   started_at : float;
+  ido0 : Aid.Set.t;
   mutable ido : Aid.Set.t;
   mutable udo : Aid.Set.t;
   mutable iha : Aid.Set.t;
   mutable ihd : Aid.Set.t;
   mutable cut : bool;
+  mutable fate : fate;
 }
 
 (* Live intervals are [buf.(head) .. buf.(head + len - 1)], oldest first.
@@ -28,13 +31,18 @@ type interval = {
    requires every live interval's current id to match its stamp — an
    allocation-free O(depth) integer scan. Push extends a valid cache with
    one memoized union; any mutation or truncation is caught by the stamp
-   scan and triggers a lazy refold. *)
+   scan and triggers a lazy refold.
+
+   Every pushed interval also stays on [pushed] (newest first) after it
+   leaves the window, its [fate] written as it goes: the history is the
+   record of the run that [Explain] and [Invariant] read. *)
 type t = {
   hist_owner : Proc_id.t;
   mutable buf : interval array;
   mutable head : int;
   mutable len : int;
   mutable next_seq : int;
+  mutable pushed : interval list;
   mutable finalized : int;
   mutable rolled : int;
   mutable ido_stamp : int array;  (** parallel to [buf] *)
@@ -54,6 +62,7 @@ let create owner =
     head = 0;
     len = 0;
     next_seq = 0;
+    pushed = [];
     finalized = 0;
     rolled = 0;
     ido_stamp = [||];
@@ -132,13 +141,16 @@ let push t ~kind ~ido ~now =
       iid;
       kind;
       started_at = now;
+      ido0 = ido;
       ido;
       udo = Aid.Set.empty;
       iha = Aid.Set.empty;
       ihd = Aid.Set.empty;
       cut = false;
+      fate = Live;
     }
   in
+  t.pushed <- itv :: t.pushed;
   (* Capture cache validity before the window moves. *)
   let ido_valid = ido_cache_valid t in
   let udo_valid = udo_cache_valid t in
@@ -174,6 +186,8 @@ let push t ~kind ~ido ~now =
   end
   else t.cum_udo_count <- -1;
   itv
+
+let intervals t = List.rev t.pushed
 
 let live t =
   let rec go i acc = if i < t.head then acc else go (i - 1) (t.buf.(i) :: acc) in
@@ -233,6 +247,7 @@ let truncate_from t iid =
   | Some pos ->
     let removed = ref [] in
     for i = t.head + t.len - 1 downto pos do
+      t.buf.(i).fate <- Rolled_back;
       removed := t.buf.(i) :: !removed
     done;
     t.rolled <- t.rolled + (t.head + t.len - pos);
@@ -251,6 +266,7 @@ let drop_oldest_finalized t =
       let udo_valid = udo_cache_valid t && Aid.Set.is_empty old.udo in
       t.head <- t.head + 1;
       t.len <- t.len - 1;
+      old.fate <- Finalized;
       t.finalized <- t.finalized + 1;
       (* The dropped IDO is empty, so a valid cached union is unchanged;
          a dropped non-empty UDO shrinks the cumulative UDO, so refold. *)

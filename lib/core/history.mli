@@ -3,8 +3,11 @@
     "User process execution is recorded as an execution history of process
     states composed of intervals" (§5). The history holds the {e live}
     (still-speculative) intervals, oldest first; finalized intervals leave
-    from the front, rollbacks truncate a suffix. Each interval carries the
-    paper's dependency sets:
+    from the front, rollbacks truncate a suffix. It also keeps every
+    interval it ever pushed, with the {!fate} the interval met as it left
+    the live window: this is the run's one per-interval record, which
+    [Explain] reports and [Invariant] checks Theorem 5.1 against. Each
+    interval carries the paper's dependency sets:
 
     - IDO ("I Depend On"): the AIDs the interval depends on;
     - UDO ("Used to Depend On"): AIDs once in IDO, kept by Algorithm 2 to
@@ -26,18 +29,26 @@ type kind = Explicit | Implicit
     boolean continuation with [false]). [Implicit]: begun by consuming a
     tagged message (rollback re-executes the receive). *)
 
+type fate =
+  | Live  (** still in the live window *)
+  | Finalized  (** left from the front: it became definite *)
+  | Rolled_back  (** left in a truncated suffix *)
+
 type interval = {
   iid : Interval_id.t;
   kind : kind;
   started_at : float;  (** virtual time of interval start *)
+  ido0 : Aid.Set.t;  (** the IDO it was pushed with *)
   mutable ido : Aid.Set.t;
   mutable udo : Aid.Set.t;
   mutable iha : Aid.Set.t;
   mutable ihd : Aid.Set.t;
   mutable cut : bool;
       (** some Replace candidate was discarded as a cycle cut while the
-          interval was live; set by [Control.handle_replace], which uses it
-          to tell the cut callback which cut is the interval's first *)
+          interval was live; set by [Control.handle_replace] *)
+  mutable fate : fate;
+      (** [Live] until the interval leaves the window, then written once,
+          by {!drop_oldest_finalized} or {!truncate_from} *)
 }
 
 type t
@@ -47,6 +58,10 @@ val owner : t -> Proc_id.t
 
 val push : t -> kind:kind -> ido:Aid.Set.t -> now:float -> interval
 (** Begin a new live interval with a fresh sequence number. *)
+
+val intervals : t -> interval list
+(** Every interval ever pushed, oldest (lowest sequence number) first,
+    live or not. Allocates a fresh list. *)
 
 val live : t -> interval list
 (** Live intervals, oldest first. Allocates a fresh list; prefer
@@ -90,17 +105,19 @@ val first_depending : t -> Aid.t -> interval option
     target for a denial (§5). Allocation-free scan. *)
 
 val truncate_from : t -> Interval_id.t -> interval list
-(** Remove the target interval and everything after it; returns the
-    removed suffix oldest-first. Empty when the target is not live. *)
+(** Remove the target interval and everything after it, marking each
+    [Rolled_back]; returns the removed suffix oldest-first. Empty when the
+    target is not live. *)
 
 val drop_oldest_finalized : t -> interval option
-(** If the oldest live interval's IDO is empty, remove and return it
-    (the finalize cascade step); [None] otherwise. *)
+(** If the oldest live interval's IDO is empty, remove it, mark it
+    [Finalized] and return it (the finalize cascade step); [None]
+    otherwise. *)
 
 val finalized_count : t -> int
-(** Intervals finalized so far. *)
+(** Intervals whose fate is [Finalized]. *)
 
 val rolled_back_count : t -> int
-(** Intervals discarded by rollback so far. *)
+(** Intervals whose fate is [Rolled_back]. *)
 
 val pp : Format.formatter -> t -> unit

@@ -12,41 +12,11 @@ let check_wait_free rt =
   if parks = 0 then []
   else [ violation "wait-free" "HOPE primitives parked their process %d times" parks ]
 
-(* Replay the event log into per-interval facts. *)
-type fact = {
-  ido0 : Aid.Set.t;  (** dependencies at interval creation *)
-  mutable finalized : bool;
-  mutable rolled : bool;
-  mutable cut : bool;  (** some dependency was discarded by the UDO check *)
-}
-
-let interval_facts rt =
-  let facts : (Interval_id.t, fact) Hashtbl.t = Hashtbl.create 64 in
-  Runtime.iter_events
-    (fun ev ->
-      match ev with
-      | Runtime.Interval_started { iid; ido; _ } ->
-        Hashtbl.replace facts iid
-          { ido0 = ido; finalized = false; rolled = false; cut = false }
-      | Runtime.Interval_finalized iid ->
-        (match Hashtbl.find_opt facts iid with
-        | Some f -> f.finalized <- true
-        | None -> ())
-      | Runtime.Interval_rolled_back iid ->
-        (match Hashtbl.find_opt facts iid with
-        | Some f -> f.rolled <- true
-        | None -> ())
-      | Runtime.Cycle_cut { iid; _ } ->
-        (match Hashtbl.find_opt facts iid with
-        | Some f -> f.cut <- true
-        | None -> ()))
-    rt;
-  facts
-
 let aid_final_state rt aid =
   match Runtime.aid_state rt aid with s -> Some s | exception Not_found -> None
 
-(* Theorem 5.1, checked at quiescence over the event log.
+(* Theorem 5.1, checked at quiescence over every interval the histories
+   recorded, in (pid, seq) order.
 
    Forward: a finalized interval's creation-time dependencies must all have
    resolved True. Intervals that took a cycle cut are exempt: Algorithm 2
@@ -54,57 +24,47 @@ let aid_final_state rt aid =
    those members end True depends on the fate of the affirming intervals.
 
    Backward: an interval whose creation-time dependencies all resolved
-   True must have finalized (and in particular must not have rolled back).
+   True must have left the live window. It may have rolled back: a
+   Replace chain can hand it a transient dependency (the affirmer's own
+   failure cause) that is denied while the original assumptions go on to
+   be re-affirmed; the re-executed guess then resolves True. What must
+   never happen is an interval left hanging.
 
-   Exclusivity: no interval may both finalize and roll back. *)
+   Exclusivity — no interval both finalizes and rolls back — holds by
+   construction: an interval leaves the live window once, and its one
+   [fate] is written there. *)
+let check_interval rt (itv : History.interval) =
+  let dep_states =
+    Aid.Set.fold (fun x acc -> (x, aid_final_state rt x) :: acc) itv.ido0 []
+  in
+  if List.for_all (fun (_, s) -> s = Some Aid_machine.True_) dep_states then
+    if itv.fate = History.Live then
+      [
+        violation "theorem-5.1"
+          "interval %a neither finalized nor rolled back though all its \
+           dependencies ended True"
+          Interval_id.pp itv.iid;
+      ]
+    else []
+  else if itv.fate = History.Finalized && not itv.cut then
+    List.filter_map
+      (fun (x, s) ->
+        if s = Some Aid_machine.True_ then None
+        else
+          Some
+            (violation "theorem-5.1"
+               "interval %a finalized but dependency %a ended %s" Interval_id.pp
+               itv.iid Aid.pp x
+               (match s with
+               | Some st -> Aid_machine.state_name st
+               | None -> "<unknown>")))
+      dep_states
+  else []
+
 let check_theorem_5_1 rt =
-  let facts = interval_facts rt in
-  let violations = ref [] in
-  let add v = violations := v :: !violations in
-  Hashtbl.iter
-    (fun iid f ->
-      if f.finalized && f.rolled then
-        add
-          (violation "theorem-5.1"
-             "interval %a was both finalized and rolled back"
-             Interval_id.pp iid);
-      let dep_states =
-        Aid.Set.fold
-          (fun x acc -> (x, aid_final_state rt x) :: acc)
-          f.ido0 []
-      in
-      let all_true =
-        List.for_all
-          (fun (_, s) -> s = Some Aid_machine.True_)
-          dep_states
-      in
-      if f.finalized && (not f.cut) && not all_true then
-        List.iter
-          (fun (x, s) ->
-            if s <> Some Aid_machine.True_ then
-              add
-                (violation "theorem-5.1"
-                   "interval %a finalized but dependency %a ended %s"
-                   Interval_id.pp iid Aid.pp x
-                   (match s with
-                   | Some st -> Aid_machine.state_name st
-                   | None -> "<unknown>")))
-          dep_states;
-      (* Note: an interval whose creation-time dependencies all ended True
-         can still legitimately roll back — a Replace chain can hand it a
-         transient dependency (the affirmer's own failure cause) that is
-         denied while the original assumptions go on to be re-affirmed; the
-         re-executed guess then resolves True. So "rolled back with
-         all-True ido0" is not a violation; what must never happen is an
-         interval left hanging: *)
-      if all_true && (not f.finalized) && not f.rolled then
-        add
-          (violation "theorem-5.1"
-             "interval %a neither finalized nor rolled back though all its \
-              dependencies ended True"
-             Interval_id.pp iid))
-    facts;
-  List.rev !violations
+  List.concat_map
+    (fun h -> List.concat_map (check_interval rt) (History.intervals h))
+    (Runtime.histories rt)
 
 let check_aid_finality rt =
   (* Terminal states are final by construction of the machine; what we can

@@ -9,10 +9,13 @@
       (the title property; §5's design criterion).
     - {!check_theorem_5_1}: "for all intervals B, finalize(B) occurs iff
       affirm(X) is applied to all of the AIDs X in B.IDO by intervals that
-      eventually become definite." Verified over the event log: every
-      finalized interval's dependencies must all have ended True, no
-      interval is both finalized and rolled back, and every started
-      interval whose dependencies all ended True must have finalized.
+      eventually become definite." Verified over every interval the
+      runtime's histories recorded ({!Runtime.histories}): every finalized
+      interval's dependencies must all have ended True, and every started
+      interval whose dependencies all ended True must have left the live
+      window. No interval can be both finalized and rolled back: it
+      leaves the window once, and its one {!History.fate} is written
+      there. Violations are listed in (pid, interval sequence) order.
     - ["aid-finality"] (in {!all_named} only): AID processes in
       True/False never left that state (monotonicity of the terminal
       states, Figure 4).

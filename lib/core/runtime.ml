@@ -2,14 +2,12 @@ open Hope_types
 module Scheduler = Hope_proc.Scheduler
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
-module Vec = Hope_sim.Vec
 module Network = Hope_net.Network
 
 type aid_placement = Colocate | Fixed_node of int
 
 type config = {
   algorithm : Control.algorithm;
-  strict_aids : bool;
   buffer_speculative_denies : bool;
   aid_placement : aid_placement;
   cache_terminal_states : bool;
@@ -18,22 +16,10 @@ type config = {
 let default_config =
   {
     algorithm = Control.Algorithm_2;
-    strict_aids = false;
     buffer_speculative_denies = false;
     aid_placement = Colocate;
     cache_terminal_states = true;
   }
-
-type event =
-  | Interval_started of {
-      iid : Interval_id.t;
-      kind : History.kind;
-      ido : Aid.Set.t;
-      at : float;
-    }
-  | Interval_finalized of Interval_id.t
-  | Interval_rolled_back of Interval_id.t
-  | Cycle_cut of { iid : Interval_id.t; aid : Aid.t }
 
 (* Hot-path metric handles, resolved once at [install] — HOPE primitives
    and control handling bump record fields, not string-hashed lookups. *)
@@ -131,7 +117,6 @@ type t = {
   aids : (Proc_id.t, Aid_machine.t) Hashtbl.t;
   mutable aid_count : int;
   rm : rt_metrics;
-  event_log : event Vec.t;
   (* Per-process caches of AIDs observed in a terminal state, learned from
      the source of Replace-with-empty-IDO (True) and Rollback (False)
      messages. Terminal states are final (Figure 4), so the caches are
@@ -145,7 +130,7 @@ type t = {
   definite_iids : (Proc_id.t, Interval_id.t) Hashtbl.t;
       (* per-process definite interval id (seq = -1), cached so definite
          affirms/denies do not rebuild the same record every time *)
-  mutable cycle_cut : first:bool -> Interval_id.t -> Aid.t -> unit;
+  mutable cycle_cut : Interval_id.t -> Aid.t -> unit;
       (* the one [Control.handle_replace ~on_cycle_cut] callback, built at
          [install] — Replace handling is per-message hot *)
   mutable aid_reply : Aid.t -> Interval_id.t -> Wire.t -> unit;
@@ -183,8 +168,6 @@ let clear_governor t =
 let governed t = t.gov <> None
 
 let now t = Engine.now (Scheduler.engine t.sched)
-
-let record t ev = Vec.push t.event_log ev
 
 (* The structured observability channel (lib/obs). The recorder lives in
    the engine; hot call sites guard on [obs_on] so the event payload is
@@ -279,7 +262,9 @@ let live_intervals t =
 
 let cycle_cuts t = Metrics.count t.rm.c_cycle_cuts
 
-let iter_events f t = Vec.iter f t.event_log
+let histories t =
+  Hashtbl.fold (fun _ h acc -> h :: acc) t.histories []
+  |> List.sort (fun a b -> Proc_id.compare (History.owner a) (History.owner b))
 
 (* -------------------- AID garbage collection ---------------------- *)
 
@@ -348,8 +333,7 @@ let spawn_aid t ~node =
   let apid = Scheduler.spawn_actor t.sched ~node ~name (aid_actor_handler t) in
   let aid = Aid.of_proc apid in
   Hashtbl.add t.aids apid
-    (Aid_machine.create ~strict:t.cfg.strict_aids
-       ~on_transition:t.aid_transition aid);
+    (Aid_machine.create ~on_transition:t.aid_transition aid);
   Metrics.incr t.rm.c_aids_created;
   if obs_on t then emit t ~proc:apid (Hope_obs.Event.Aid_create { aid });
   aid
@@ -388,7 +372,6 @@ let begin_interval t pid ~kind ~extra_deps =
   Metrics.incr t.rm.c_intervals_started;
   Metrics.observe_int t.rm.h_ido_size (Aid.Set.cardinal ido);
   Metrics.observe_int t.rm.h_spec_depth (History.depth hist);
-  record t (Interval_started { iid = itv.History.iid; kind; ido; at = now t });
   if obs_on t then
     emit t ~proc:pid
       (Hope_obs.Event.Interval_open
@@ -482,8 +465,8 @@ let do_free_of t pid x =
 (* ------------------------------------------------------------------ *)
 
 (* Shared tail of every rollback: retract the rolled intervals'
-   speculative affirms with Revoke, record events, and hand the suffix to
-   the scheduler for checkpoint restoration and message cancellation. *)
+   speculative affirms with Revoke and hand the suffix to the scheduler
+   for checkpoint restoration and message cancellation. *)
 let perform_rollback t pid ~(target : History.interval) ~rolled ~cause =
   if obs_on t then
     emit t ~proc:pid
@@ -500,8 +483,7 @@ let perform_rollback t pid ~(target : History.interval) ~rolled ~cause =
           Scheduler.send_wire t.sched ~src:pid ~dst:(Aid.to_proc y)
             (Wire.Revoke { iid = itv.History.iid }))
         itv.History.iha;
-      Metrics.incr t.rm.c_intervals_rolled;
-      record t (Interval_rolled_back itv.History.iid))
+      Metrics.incr t.rm.c_intervals_rolled)
     rolled;
   Scheduler.rollback t.sched pid ~target:target.History.iid
     ~rolled:(List.map (fun itv -> itv.History.iid) rolled)
@@ -531,7 +513,6 @@ let interpret_action t pid = function
           (Wire.Deny { iid = itv.History.iid }))
       itv.History.ihd;
     Metrics.incr t.rm.c_finalizes;
-    record t (Interval_finalized itv.History.iid);
     if obs_on t then
       emit t ~proc:pid
         (Hope_obs.Event.Interval_finalize { iid = itv.History.iid })
@@ -624,11 +605,10 @@ let install sched ?(config = default_config) () =
       aids = Hashtbl.create 64;
       aid_count = 0;
       rm;
-      event_log = Vec.create ();
       known_true = Hashtbl.create 64;
       known_false = Hashtbl.create 64;
       definite_iids = Hashtbl.create 64;
-      cycle_cut = (fun ~first:_ _ _ -> ());
+      cycle_cut = (fun _ _ -> ());
       aid_reply = (fun _ _ _ -> ());
       aid_transition = (fun _ _ _ -> ());
       gov = None;
@@ -650,13 +630,10 @@ let install sched ?(config = default_config) () =
              { aid; from_ = obs_state from_; to_ = obs_state to_ }));
   (* An interval id's owner is the process whose history holds it, so the
      cycle-cut callback recovers the acting process from [iid] — one
-     closure for the runtime's lifetime instead of one per Replace. The
-     counters and the obs stream see every cut; the log keeps one entry
-     per cut interval, which is all its readers ask of it. *)
+     closure for the runtime's lifetime instead of one per Replace. *)
   t.cycle_cut <-
-    (fun ~first iid aid ->
+    (fun iid aid ->
       Metrics.incr t.rm.c_cycle_cuts;
-      if first then record t (Cycle_cut { iid; aid });
       if obs_on t then
         emit t ~proc:(Interval_id.owner iid) (Hope_obs.Event.Cycle_cut { iid; aid }));
   let hooks =

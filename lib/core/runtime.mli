@@ -36,7 +36,6 @@ type aid_placement =
 
 type config = {
   algorithm : Control.algorithm;
-  strict_aids : bool;  (** raise on conflicting affirm/deny (Figures 7–8) *)
   buffer_speculative_denies : bool;
       (** footnote 1: hold denies from speculative intervals in IHD until
           the interval finalizes, instead of sending immediately *)
@@ -52,7 +51,7 @@ type config = {
 }
 
 val default_config : config
-(** Algorithm 2, lenient AIDs, immediate denies, colocated AID processes,
+(** Algorithm 2, immediate denies, colocated AID processes,
     terminal-state caching on. *)
 
 val install : Hope_proc.Scheduler.t -> ?config:config -> unit -> t
@@ -125,6 +124,11 @@ val set_acquire_bound : t -> float -> unit
 val history_of : t -> Proc_id.t -> History.t
 (** @raise Not_found for an unknown process. *)
 
+val histories : t -> History.t list
+(** Every process's history, by ascending pid: the record of every
+    interval the run opened and its fate, which [Explain] and
+    [Invariant] read in place. *)
+
 val aid_machine : t -> Aid.t -> Aid_machine.t
 (** @raise Not_found for an unknown AID. *)
 
@@ -136,8 +140,8 @@ val live_intervals : t -> int
 val cycle_cuts : t -> int
 (** Replace candidates discarded as cycle cuts so far — by Algorithm 2's
     UDO check or by a governor's [cut_replace] — counting every cut, also
-    the repeated cuts of one interval that the event log records once.
-    The value of the engine's [hope.cycle_cuts] counter. *)
+    the repeated cuts of one interval, whose {!History.interval.cut} flag
+    is set once. The value of the engine's [hope.cycle_cuts] counter. *)
 
 (** {1 AID garbage collection (§5.2)} *)
 
@@ -153,28 +157,3 @@ val collect_garbage : t -> gc_stats
 val fresh_aid : t -> ?node:int -> unit -> Aid.t
 (** Create an AID process from outside any user program (drivers/tests).
     [node] defaults to 0. *)
-
-(** {1 Event log}
-
-    The interval lifecycles {!Invariant} and {!Explain} replay; everything
-    else a run does goes to the engine's {!Hope_obs.Recorder}. *)
-
-type event =
-  | Interval_started of {
-      iid : Interval_id.t;
-      kind : History.kind;
-      ido : Aid.Set.t;
-      at : float;
-    }
-  | Interval_finalized of Interval_id.t
-  | Interval_rolled_back of Interval_id.t
-  | Cycle_cut of { iid : Interval_id.t; aid : Aid.t }
-      (** the interval's first cycle cut: a Replace candidate [aid] was
-          discarded, because [iid] had already depended on it (UDO hit —
-          a dependency cycle, §5.3) or a governor ruled it one. Logged
-          once per interval, on its first cut; later cuts of the same
-          interval are counted by {!cycle_cuts}, [hope.cycle_cuts] and
-          the obs stream but not logged *)
-
-val iter_events : (event -> unit) -> t -> unit
-(** Walk the event log in place, oldest first. *)

@@ -175,14 +175,6 @@ type t = {
   entities : entity Vec.t;  (** dense: index = pid (pids are sequential) *)
   spawn_order : Proc_id.t Vec.t;  (** user processes, in spawn order *)
   mutable next_msg_id : int;
-  mutable msg_id_stride : int;
-      (** msg ids advance by this much; a sharded deployment gives each
-          scheduler [base = shard_id, stride = shards] so ids stay
-          globally unique when envelopes cross shard mailboxes *)
-  mutable remote_route : (src:Proc_id.t -> dst:Proc_id.t -> Envelope.t -> bool) option;
-      (** cross-shard egress: when set and it returns [true], the
-          envelope was taken by the shard transport and must NOT be
-          dispatched through the local network *)
   mutable hooks : hooks option;
   mutable hope_primitive_parks : int;
   mutable resume_disp : Engine.t -> int -> int -> unit;
@@ -248,7 +240,7 @@ let find_proc t pid =
 
 let fresh_msg_id t =
   let id = t.next_msg_id in
-  t.next_msg_id <- t.next_msg_id + t.msg_id_stride;
+  t.next_msg_id <- t.next_msg_id + 1;
   id
 
 let fresh_ticket t owner =
@@ -367,9 +359,7 @@ let transmit t ~src ~dst payload =
       obs_emit t ~proc:src (Hope_obs.Event.Msg_send { dst; msg_id = id; tags })
     | Envelope.Cancel { msg_id } ->
       obs_emit t ~proc:src (Hope_obs.Event.Cancel_send { dst; msg_id }));
-  (match t.remote_route with
-  | Some route when route ~src ~dst env -> ()
-  | _ -> Network.send t.net ~src:(Proc_id.to_int src) ~dst:(Proc_id.to_int dst) env);
+  Network.send t.net ~src:(Proc_id.to_int src) ~dst:(Proc_id.to_int dst) env;
   id
 
 let send_wire t ~src ~dst wire =
@@ -865,12 +855,7 @@ let spawn_actor t ?(node = 0) ~name handler =
 (* Construction                                                        *)
 (* ------------------------------------------------------------------ *)
 
-let create ~engine ?default_latency ?fifo ?(msg_id_base = 0)
-    ?(msg_id_stride = 1) ?(config = free_config) () =
-  if msg_id_stride <= 0 then
-    invalid_arg "Scheduler.create: msg_id_stride must be positive";
-  if msg_id_base < 0 || msg_id_base >= msg_id_stride then
-    invalid_arg "Scheduler.create: msg_id_base must be in [0, stride)";
+let create ~engine ?default_latency ?fifo ?(config = free_config) () =
   let reg = Engine.metrics engine in
   let hm =
     {
@@ -913,9 +898,7 @@ let create ~engine ?default_latency ?fifo ?(msg_id_base = 0)
       cfg = config;
       entities = Vec.create ();
       spawn_order = Vec.create ();
-      next_msg_id = msg_id_base;
-      msg_id_stride;
-      remote_route = None;
+      next_msg_id = 0;
       hooks = None;
       hope_primitive_parks = 0;
       resume_disp = (fun _ _ _ -> ());
@@ -932,19 +915,6 @@ let create ~engine ?default_latency ?fifo ?(msg_id_base = 0)
   Network.set_dispatcher t.net (fun ~dst ~src env ->
       dispatch_delivery t ~dst ~src env);
   t
-
-(* ------------------------------------------------------------------ *)
-(* Cross-shard transport                                               *)
-(* ------------------------------------------------------------------ *)
-
-let set_remote_route t route = t.remote_route <- Some route
-
-let deliver_remote t ?(delay = 0.0) env =
-  if delay < 0.0 then invalid_arg "Scheduler.deliver_remote: negative delay";
-  let dst = Proc_id.to_int env.Envelope.dst in
-  let src = Proc_id.to_int env.Envelope.src in
-  Engine.schedule t.eng ~delay (fun _ -> dispatch_delivery t ~dst ~src env)
-  |> ignore
 
 (* ------------------------------------------------------------------ *)
 (* Introspection                                                       *)

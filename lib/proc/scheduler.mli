@@ -159,46 +159,15 @@ val create :
   engine:Hope_sim.Engine.t ->
   ?default_latency:Hope_net.Latency.t ->
   ?fifo:bool ->
-  ?msg_id_base:int ->
-  ?msg_id_stride:int ->
   ?config:config ->
   unit ->
   t
-(** [msg_id_base]/[msg_id_stride] (defaults 0/1) stripe the message-id
-    sequence: ids are [base, base+stride, base+2*stride, ...]. A sharded
-    deployment gives each shard's scheduler [base = shard_id, stride =
-    shards] so envelope ids stay globally unique when messages cross
-    shard mailboxes (Cancel matching keys on them).
-    @raise Invalid_argument unless [0 <= msg_id_base < msg_id_stride]. *)
+(** Message ids are numbered 0, 1, 2, ... in transmission order. *)
 
 val engine : t -> Hope_sim.Engine.t
 val network : t -> Envelope.t Hope_net.Network.t
 val config : t -> config
 val set_hooks : t -> hooks -> unit
-
-(** {1 Cross-shard transport}
-
-    The shard runtime partitions the process space across schedulers
-    (one per domain). Egress: {!set_remote_route} intercepts
-    transmissions whose destination lives on another shard {e after}
-    metrics/observability accounting but {e instead of} local network
-    dispatch — the route callback hands the envelope to the shard
-    mailbox. Ingress: the receiving shard calls {!deliver_remote},
-    which re-enters the normal delivery path (mailbox insert, implicit
-    guesses, straggler-driven rollback through the journal machinery)
-    via the engine's event spine. *)
-
-val set_remote_route :
-  t -> (src:Proc_id.t -> dst:Proc_id.t -> Envelope.t -> bool) -> unit
-(** Install the egress filter. Return [true] to take ownership of the
-    envelope (it will NOT be dispatched locally); [false] to let it
-    flow through the local network unchanged. *)
-
-val deliver_remote : t -> ?delay:float -> Envelope.t -> unit
-(** Inject an envelope that arrived from another shard, [delay] virtual
-    seconds from now (default 0: next event-spine turn). The envelope's
-    own [src]/[dst] are used; its id must be globally unique (see
-    [msg_id_base]). *)
 
 (** {1 Spawning} *)
 

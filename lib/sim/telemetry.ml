@@ -10,9 +10,7 @@ type t = {
   handles : (string, Timeseries.series) Hashtbl.t;
       (* raw registry name -> series, so per-sample reads skip both the
          name sanitization and the by-name series lookup *)
-  mutable engines : Engine.t list;
-      (* install order; one per shard when the sharded runtime installs
-         its per-domain engines into a single telemetry instance *)
+  mutable engine : Engine.t option;  (* the one live, sampled engine *)
   mutable shard_engines : (int * Engine.t) list;
       (* shard id -> registry, snapshot-only (no sampler): the parallel
          engine's per-domain registries, read post-run for the labeled
@@ -60,7 +58,7 @@ let create ?config ?(deep = false) ?(stride = 1e-3) ?(capacity = 1024)
     mon;
     ts;
     handles = Hashtbl.create 64;
-    engines = [];
+    engine = None;
     shard_engines = [];
     pre_samples = [];
     next_pre = 0;
@@ -94,54 +92,26 @@ let sample t eng =
      instead of lagging one stride. *)
   List.iter (fun (_, f) -> f eng t) t.pre_samples;
   let now = Engine.now eng in
-  (match t.engines with
-  | [] | [ _ ] ->
-      (* Direct registry walk (no sorted assoc lists): this runs once per
-         stride for the whole run, so it must not shed garbage. *)
-      let reg = Engine.metrics eng in
-      Metrics.iter_counters reg (fun k n ->
-          Timeseries.record (handle t k) ~time:now (float_of_int n));
-      Metrics.iter_gauges reg (fun k v ->
-          Timeseries.record (handle t k) ~time:now v)
-  | engines ->
-      (* Several shard engines share one telemetry instance; the same
-         family registered by each shard must land as ONE point per
-         sample (summed), not as k successive overwrites whose winner
-         depends on install order. *)
-      let acc = Hashtbl.create 64 in
-      let add k v =
-        match Hashtbl.find_opt acc k with
-        | Some prev -> Hashtbl.replace acc k (prev +. v)
-        | None -> Hashtbl.add acc k v
-      in
-      List.iter
-        (fun e ->
-          let reg = Engine.metrics e in
-          Metrics.iter_counters reg (fun k n -> add k (float_of_int n));
-          Metrics.iter_gauges reg (fun k v -> add k v))
-        engines;
-      Hashtbl.iter (fun k v -> Timeseries.record (handle t k) ~time:now v) acc);
+  (* Direct registry walk (no sorted assoc lists): this runs once per
+     stride for the whole run, so it must not shed garbage. *)
+  let reg = Engine.metrics eng in
+  Metrics.iter_counters reg (fun k n ->
+      Timeseries.record (handle t k) ~time:now (float_of_int n));
+  Metrics.iter_gauges reg (fun k v -> Timeseries.record (handle t k) ~time:now v);
   Timeseries.sample t.ts ~time:now;
   Monitor.check_stalls t.mon ~now;
   t.on_sample eng t
 
-let sample_now t = match t.engines with [] -> () | eng :: _ -> sample t eng
+let sample_now t = Option.iter (sample t) t.engine
 
+(* Idempotent: [Timeseries.add_source] replaces by name, so installing
+   again re-registers nothing. *)
 let install t eng =
-  (* Idempotent and keyed by the engine itself: re-installing the same
-     engine (or installing several shard engines) cannot double-register
-     the executed/pending families — the sources below are summing
-     closures over the engine list, and [Timeseries.add_source] replaces
-     by name. *)
-  if not (List.memq eng t.engines) then t.engines <- t.engines @ [ eng ];
+  t.engine <- Some eng;
   Timeseries.add_source t.ts "hope_engine_events_executed" (fun () ->
-      List.fold_left
-        (fun acc e -> acc +. float_of_int (Engine.events_processed e))
-        0.0 t.engines);
+      float_of_int (Engine.events_processed eng));
   Timeseries.add_source t.ts "hope_engine_events_pending" (fun () ->
-      List.fold_left
-        (fun acc e -> acc +. float_of_int (Engine.pending_events e))
-        0.0 t.engines);
+      float_of_int (Engine.pending_events eng));
   Engine.set_sampler eng ~stride:(Timeseries.stride t.ts) (sample t)
 
 let install_shard t ~shard eng =
@@ -295,16 +265,14 @@ let merge_instruments lists =
   List.rev_map (fun name -> Hashtbl.find tbl name) !order
 
 let instruments t =
-  let live = List.map (fun e -> registry_instruments (Engine.metrics e)) t.engines in
-  let shard_agg =
-    List.map
-      (fun (_, e) -> registry_instruments (Engine.metrics e))
-      t.shard_engines
-  in
-  (* The unlabeled aggregate: live engines and shard registries merged by
+  (* The unlabeled aggregate: the live engine and shard registries merged by
      family (counters/gauges sum, histogram count+sum combine). *)
   let registry =
-    match live @ shard_agg with
+    match
+      List.map
+        (fun e -> registry_instruments (Engine.metrics e))
+        (Option.to_list t.engine @ List.map snd t.shard_engines)
+    with
     | [] -> []
     | [ one ] -> one
     | many -> merge_instruments many

@@ -42,22 +42,19 @@ val series : t -> Hope_obs.Timeseries.t
 val stride : t -> float
 
 val install : t -> Engine.t -> unit
-(** Hook sampling into the engine's virtual-time sampler (replacing any
-    sampler it already had) and register the engine's executed/pending
-    event counts as sources. Each sample walks the engine's metrics
-    registry directly — every counter and gauge lands in a series under
-    its sanitized name, with new instruments picked up as they appear —
-    and also runs the monitor's stall check. The monitor's own gauges
-    were registered as sources at {!create} time.
+(** Make the engine the one live engine this telemetry samples: hook
+    sampling into its virtual-time sampler (replacing any sampler it
+    already had) and register its executed/pending event counts as
+    sources. Each sample walks the engine's metrics registry directly —
+    every counter and gauge lands in a series under its sanitized name,
+    with new instruments picked up as they appear — and also runs the
+    monitor's stall check. The monitor's own gauges were registered as
+    sources at {!create} time.
 
-    Install is idempotent and keyed by the engine: re-installing the
-    same engine is a no-op (beyond refreshing its sampler), and
-    installing {e several} engines — one per shard domain — merges
-    rather than double-registers: the executed/pending sources sum over
-    all installed engines, per-sample registry walks sum duplicate
-    families across registries, and {!instruments} merges duplicate
-    families by name (counters/gauges summed, histogram count+sum
-    combined) so the OpenMetrics export never emits a family twice.
+    Install is idempotent: installing the same engine again registers
+    nothing twice. Installing another engine replaces the first as the
+    one the sources and {!instruments} read. A sharded run's per-domain
+    registries arrive through {!absorb_shards} instead.
 
     The rollback-storage gauges ([hope.ckpt_live], [hope.journal_depth],
     [hope.arrivals_resident]) flow through this walk like any other: no
@@ -83,7 +80,9 @@ val absorb_shards :
     per-domain engine's registry as a {e snapshot-only} source (index =
     shard id; no sampler is hooked, the domain is done), so
     {!instruments} emits each of its families twice — into the unlabeled
-    aggregate and as a [shard="N"] labeled variant. Then feeds the
+    aggregate, where one family from several registries is merged
+    (counters and gauges summed, histogram count and sum combined) so it
+    appears once, and as a [shard="N"] labeled variant. Then feeds the
     GVT-epoch samples to {!Hope_obs.Monitor.observe_shards} (arming the
     parallel diagnostics), and records the labeled shard trajectories —
     [hope_shard_lvt]/[_events]/[_stragglers]/[_wasted_events]/

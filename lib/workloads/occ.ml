@@ -359,8 +359,9 @@ let run ?(seed = 42) ?obs ?(latency = Hope_net.Latency.man)
   in
   on_setup rt;
   (* Hybrid needs a governor to drive escalation. If the caller already
-     installed one (hope_sim --governor) it is respected; otherwise a
-     telemetry + governor pair with the [hybrid] policy is wired here. *)
+     installed one (hope_sim does, on its own telemetry) it is respected;
+     otherwise a telemetry + governor pair with the [hybrid] policy is
+     wired here. *)
   (match mode with
   | `Hybrid when not (Runtime.governed rt) ->
     let tele =

@@ -24,7 +24,10 @@
       holding the key exclusively, collapsing the conflict storm on that
       key while cold keys keep speculating. [run] installs a
       [Policy.hybrid] governor automatically unless the caller's
-      [on_setup] already installed one.
+      [on_setup] already installed one. That governor brings a telemetry
+      of its own, which takes the recorder's tap and the engine's
+      sampler: a caller with its own telemetry installs the governor on
+      it in [on_setup], as [hope_sim occ] does.
 
     Unlike the other workloads, conflicts are not drawn from a fate
     function: they {e emerge} from genuinely concurrent clients, tuned by

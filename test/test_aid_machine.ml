@@ -132,15 +132,6 @@ let test_affirm_after_deny_is_user_error () =
   Alcotest.(check int) "counted user error" 1 t.M.user_errors;
   state_is t "False"
 
-let test_strict_mode_raises () =
-  let t = M.create ~strict:true (aid_of 0) in
-  ignore (M.handle t (deny 1));
-  Alcotest.(check bool) "strict affirm-after-deny raises" true
-    (try
-       ignore (M.handle t (affirm 2));
-       false
-     with M.User_error _ -> true)
-
 (* ------------------------- Deny (Figure 8) ------------------------ *)
 
 let test_deny_rolls_back_dom () =
@@ -797,7 +788,6 @@ let () =
           test "Maybe then definite affirm" test_affirm_maybe_then_definite;
           test "redundant affirm ignored" test_affirm_redundant_on_true;
           test "affirm after deny is user error" test_affirm_after_deny_is_user_error;
-          test "strict mode raises" test_strict_mode_raises;
         ] );
       ( "deny",
         [

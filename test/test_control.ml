@@ -15,10 +15,10 @@ let aids l = Aid.Set.of_list (List.map aid l)
 
 let push h ido = History.push h ~kind:History.Explicit ~ido:(aids ido) ~now:0.0
 
-let no_cut ~first:_ _ _ = Alcotest.fail "unexpected cycle cut"
+let no_cut _ _ = Alcotest.fail "unexpected cycle cut"
 
-(* Records each cut as (AID number, first-cut flag), newest first. *)
-let count_cuts cuts ~first _iid a = cuts := (num a, first) :: !cuts
+(* Records each cut's AID number, newest first. *)
+let count_cuts cuts _iid a = cuts := num a :: !cuts
 
 let replace ?(algorithm = Control.Algorithm_2) ?cut ?(on_cycle_cut = no_cut) h
     ~target ~sender ~ido =
@@ -115,8 +115,8 @@ let test_algorithm_2_cuts_cycle () =
     replace h ~on_cycle_cut:(count_cuts cuts) ~target:a.History.iid ~sender:2
       ~ido:[ 1 ]
   in
-  Alcotest.(check (list (pair int bool))) "1 cut, the interval's first"
-    [ (1, true) ] (List.rev !cuts);
+  Alcotest.(check (list int)) "1 cut" [ 1 ] (List.rev !cuts);
+  Alcotest.(check bool) "interval marked cut" true a.History.cut;
   Alcotest.(check (list int)) "interval finalized by the cut" [ 0 ]
     (finalized actions)
 
@@ -147,14 +147,15 @@ let test_self_cycle_cut () =
     replace h ~on_cycle_cut:(count_cuts cuts) ~target:a.History.iid ~sender:1
       ~ido:[ 1 ]
   in
-  Alcotest.(check (list (pair int bool))) "self-cycle cut" [ (1, true) ]
-    (List.rev !cuts);
+  Alcotest.(check (list int)) "self-cycle cut" [ 1 ] (List.rev !cuts);
+  Alcotest.(check bool) "interval marked cut" true a.History.cut;
   Alcotest.(check (list int)) "finalized" [ 0 ] (finalized actions)
 
 (* One Replace walks its candidates in ascending order: cuts are reported
-   in that order, only the interval's first cut says [first], and the
-   fresh candidates are registered in ascending order too. The governor's
-   predicate sees exactly the candidates the UDO check let through. *)
+   in that order, the interval's [cut] flag is set from its first cut on,
+   and the fresh candidates are registered in ascending order too. The
+   governor's predicate sees exactly the candidates the UDO check let
+   through. *)
 let test_cuts_ascending_first_once () =
   let h = History.create owner in
   let a = push h [ 1 ] in
@@ -184,9 +185,8 @@ let test_cuts_ascending_first_once () =
     [ 4; 7; 8 ] (List.rev !seen);
   Alcotest.(check (list int)) "survivors registered ascending" [ 4; 8 ]
     (guessed actions);
-  Alcotest.(check (list (pair int bool))) "cuts ascending, first flagged once"
-    [ (1, true); (1, false); (2, false); (7, false) ]
-    (List.rev !cuts);
+  Alcotest.(check (list int)) "cuts ascending" [ 1; 1; 2; 7 ] (List.rev !cuts);
+  Alcotest.(check bool) "interval still marked cut" true a.History.cut;
   Alcotest.(check bool) "ido joined in one union" true
     (Aid.Set.equal a.History.ido (aids [ 4; 5; 6; 8 ]))
 

@@ -1,5 +1,6 @@
 (* Tests for per-process interval histories: ordering, cumulative
-   dependency sets, truncation, and the finalize cascade step. *)
+   dependency sets, truncation, the finalize cascade step, and the record
+   of every pushed interval with its fate. *)
 
 open Hope_types
 module History = Hope_core.History
@@ -96,27 +97,38 @@ let test_empty_history () =
   Alcotest.(check bool) "cumulative empty" true
     (Aid.Set.is_empty (History.cumulative_ido h))
 
+let count_fate fate itvs =
+  List.length (List.filter (fun itv -> itv.History.fate = fate) itvs)
+
 (* Property: depth always equals pushes - finalized - rolled back, and
-   live intervals stay ordered by sequence number. *)
+   live intervals stay ordered by sequence number. The record keeps every
+   push once, in push order; exactly the intervals [find] still returns
+   are [Live]; a truncated suffix is [Rolled_back]; the counters count
+   fates. *)
 let qcheck_history_accounting =
   let open QCheck in
   Test.make ~name:"history: accounting invariant under random ops" ~count:300
-    (list_of_size (Gen.int_range 1 60) (int_range 0 2))
+    (list_of_size (Gen.int_range 1 60) (int_range 0 3))
     (fun ops ->
       let h = History.create owner in
-      let pushes = ref 0 in
+      let pushes = ref 0 and pushed = ref [] and suffixes_rolled = ref true in
+      let truncate = function
+        | Some itv ->
+          let removed = History.truncate_from h itv.History.iid in
+          suffixes_rolled :=
+            !suffixes_rolled
+            && List.for_all (fun r -> r.History.fate = History.Rolled_back) removed
+        | None -> ()
+      in
       List.iter
         (fun op ->
           match op with
           | 0 ->
             incr pushes;
-            ignore (push h [ !pushes mod 7 ])
+            pushed := push h [ !pushes mod 7 ] :: !pushed
           | 1 -> ignore (History.drop_oldest_finalized h)
-          | _ -> (
-            (* roll back a random live interval: pick the current one *)
-            match History.current h with
-            | Some itv -> ignore (History.truncate_from h itv.History.iid)
-            | None -> ()))
+          | 2 -> truncate (History.current h)  (* a one-interval suffix *)
+          | _ -> truncate (History.oldest h)  (* the whole window *))
         ops;
       (* force-finalize what can be finalized to exercise both exits *)
       let depth = History.depth h in
@@ -127,7 +139,22 @@ let qcheck_history_accounting =
         let seqs = iids h in
         seqs = List.sort compare seqs
       in
-      accounted && ordered)
+      let pushed = List.rev !pushed and all = History.intervals h in
+      let recorded =
+        List.length all = List.length pushed && List.for_all2 ( == ) all pushed
+      in
+      let live_iff_found =
+        List.for_all
+          (fun itv ->
+            (History.find h itv.History.iid <> None) = (itv.History.fate = History.Live))
+          all
+      in
+      let fates_counted =
+        History.finalized_count h = count_fate History.Finalized all
+        && History.rolled_back_count h = count_fate History.Rolled_back all
+      in
+      accounted && ordered && recorded && live_iff_found && !suffixes_rolled
+      && fates_counted)
 
 (* Note: drop_oldest_finalized only fires when the oldest IDO is empty;
    in the property above pushed intervals have non-empty IDO, so the
@@ -149,7 +176,16 @@ let qcheck_finalize_under_randomness =
         | Some _ -> drain (acc + 1)
         | None -> acc
       in
-      drain 0 = emptied && History.depth h = n - emptied)
+      let drained = drain 0 in
+      drained = emptied
+      && History.depth h = n - emptied
+      && List.for_all2 ( == ) (History.intervals h) intervals
+      && List.for_all
+           (fun itv ->
+             itv.History.fate
+             = if Interval_id.seq itv.History.iid < emptied then History.Finalized
+               else History.Live)
+           intervals)
 
 let () =
   Alcotest.run "history"

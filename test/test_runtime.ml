@@ -1,7 +1,7 @@
 (* Tests for runtime configuration features: AID garbage collection,
    buffered speculative denies (footnote 1), the terminal-state cache
-   ablation, and AID placement; plus the event log's readers, Explain and
-   the Theorem 5.1 check. *)
+   ablation, and AID placement; plus the readers of the runtime's
+   histories, Explain and the Theorem 5.1 check. *)
 
 open Hope_types
 module Program = Hope_proc.Program
@@ -394,7 +394,7 @@ let test_explain_reconstructs () =
 
 (* The Theorem 5.1 check can fire: a clean guess-then-affirm run passes
    it, and flipping the affirmed AID to False afterwards makes the
-   finalized interval a violation read off the event log. *)
+   finalized interval a violation read off the worker's history. *)
 let test_theorem_5_1_fires () =
   let w = make_world () in
   let x = Runtime.fresh_aid w.rt () in

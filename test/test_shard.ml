@@ -1,8 +1,7 @@
 (* Tests for the sharded multicore engine: the SPSC mailbox ring, the
-   shard context, multi-engine telemetry installs, the sharded Time Warp
-   executor's determinism contract (same commit set and byte-identical
-   merged trace at any domain count), and the scheduler's cross-shard
-   transport hooks. *)
+   shard context, telemetry's merge of per-shard registries, and the
+   sharded Time Warp executor's determinism contract (same commit set and
+   byte-identical merged trace at any domain count). *)
 
 module Mailbox = Hope_shard.Mailbox
 module Shard = Hope_shard.Shard
@@ -14,9 +13,6 @@ module Telemetry = Hope_sim.Telemetry
 module Recorder = Hope_obs.Recorder
 module Obs = Hope_obs.Obs
 module Phold = Hope_workloads.Phold
-module Scheduler = Hope_proc.Scheduler
-module Envelope = Hope_types.Envelope
-module Proc_id = Hope_types.Proc_id
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -110,16 +106,10 @@ let test_context_owner_and_streams () =
 (* ------------------------- Telemetry merge ------------------------ *)
 
 let test_telemetry_multi_engine_install () =
-  let tele = Telemetry.create ~recorder:(Recorder.create ()) () in
   let e1 = Engine.create ~seed:1 () and e2 = Engine.create ~seed:2 () in
   Metrics.add (Metrics.counter (Engine.metrics e1) "shard.events") 3;
   Metrics.add (Metrics.counter (Engine.metrics e2) "shard.events") 4;
-  (* idempotent: re-installing an engine must not double-count it *)
-  Telemetry.install tele e1;
-  Telemetry.install tele e1;
-  Telemetry.install tele e2;
-  Telemetry.install tele e2;
-  let fams =
+  let fams tele =
     List.filter_map
       (function
         | Hope_obs.Export_openmetrics.Counter { name; labels = []; value }
@@ -128,7 +118,15 @@ let test_telemetry_multi_engine_install () =
         | _ -> None)
       (Telemetry.instruments tele)
   in
-  Alcotest.(check (list int)) "one merged family, summed" [ 7 ] fams;
+  (* idempotent: installing one engine twice counts it once *)
+  let live = Telemetry.create ~recorder:(Recorder.create ()) () in
+  Telemetry.install live e1;
+  Telemetry.install live e1;
+  Alcotest.(check (list int)) "one live engine, counted once" [ 3 ] (fams live);
+  (* a sharded run's registries merge into one unlabeled family *)
+  let tele = Telemetry.create ~recorder:(Recorder.create ()) () in
+  Telemetry.absorb_shards tele ~engines:[| e1; e2 |] ~samples:[];
+  Alcotest.(check (list int)) "one merged family, summed" [ 7 ] (fams tele);
   (* the rendered exposition also carries the family exactly once *)
   let om = Telemetry.openmetrics tele in
   let occurrences sub =
@@ -348,57 +346,6 @@ let qcheck_shard_deterministic =
         && t1 = t2 && t1 = t4
       | _ -> false)
 
-(* --------------------- Scheduler shard transport ------------------- *)
-
-let test_scheduler_id_striping_validation () =
-  let engine = Engine.create ~seed:1 () in
-  Alcotest.check_raises "zero stride"
-    (Invalid_argument "Scheduler.create: msg_id_stride must be positive")
-    (fun () -> ignore (Scheduler.create ~engine ~msg_id_stride:0 ()));
-  Alcotest.check_raises "base out of range"
-    (Invalid_argument "Scheduler.create: msg_id_base must be in [0, stride)")
-    (fun () ->
-      ignore (Scheduler.create ~engine ~msg_id_base:2 ~msg_id_stride:2 ()))
-
-(* The egress/ingress hooks end to end on the real HOPE runtime: divert
-   every user/cancel envelope bound for an odd pid through a simulated
-   shard transport (re-injected via [deliver_remote] after a flat extra
-   latency), which makes those deliveries stragglers. The run must
-   still quiesce with the sequential checksums — the late deliveries
-   deny the optimistic no-straggler guesses and the journal machinery
-   rolls the affected LPs back — and the diverted ids must stripe like
-   a shard's ([fresh_msg_id] base/stride contract). *)
-let test_remote_route_integration () =
-  let p =
-    { Phold.default_params with n_lps = 4; jobs = 8; horizon = 4.0 }
-  in
-  let diverted = ref 0 in
-  let on_setup rt =
-    let sched = Hope_core.Runtime.scheduler rt in
-    Scheduler.set_remote_route sched (fun ~src:_ ~dst env ->
-        let remote =
-          Proc_id.to_int dst mod 2 = 1
-          &&
-          match env.Envelope.payload with
-          | Envelope.User _ | Envelope.Cancel _ -> true
-          | Envelope.Control _ -> false
-        in
-        if remote then begin
-          incr diverted;
-          Scheduler.deliver_remote sched ~delay:0.05 env
-        end;
-        remote)
-  in
-  let seq = Phold.run_sequential p in
-  let o = Phold.run_hope ~on_setup p in
-  Alcotest.(check bool) "some envelopes took the shard path" true (!diverted > 0);
-  Alcotest.(check bool) "late deliveries caused rollbacks" true
-    (o.Phold.rollbacks > 0);
-  Alcotest.(check (array int)) "checksums survive the diversion"
-    seq.Phold.checksums o.Phold.checksums;
-  Alcotest.(check int) "event set intact" seq.Phold.handled_total
-    o.Phold.handled_total
-
 let () =
   Alcotest.run "shard"
     [
@@ -431,11 +378,5 @@ let () =
           test "labeled export deterministic at 1 domain"
             test_labeled_export_deterministic;
           QCheck_alcotest.to_alcotest qcheck_attribution_sums;
-        ] );
-      ( "transport",
-        [
-          test "msg-id striping validation" test_scheduler_id_striping_validation;
-          test "remote route + deliver_remote end to end"
-            test_remote_route_integration;
         ] );
     ]

@@ -13,6 +13,7 @@ module Occ = Hope_workloads.Occ
 module Latency = Hope_net.Latency
 module Runtime = Hope_core.Runtime
 module Invariant = Hope_core.Invariant
+module Explain = Hope_core.Explain
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -108,6 +109,24 @@ let test_report_wan_trace_pinned () =
     "summary digest" "a767c0a311e6972d5a98c491bf659186"
     (export_digest Hope_obs.Obs.Summary obs)
 
+(* The digest of a run's full [--explain] report: every interval's id,
+   start time, kind, dependencies at creation, fate and cut flag. *)
+let explain_digest rt =
+  Digest.to_hex
+    (Digest.string (Format.asprintf "%a" Explain.pp (Explain.of_runtime rt)))
+
+(* The same 12-section WAN run's speculation report, pinned. *)
+let test_report_wan_explain_pinned () =
+  let digest = ref "" in
+  let p = { Report.default_params with sections = 12 } in
+  ignore
+    (Report.run ~seed:42 ~latency:Latency.wan ~mode:`Optimistic
+       ~on_quiescence:(fun rt -> digest := explain_digest rt)
+       p
+      : Report.result);
+  Alcotest.(check string) "explain digest" "4ed71cf2880943fa3234e5b041df717c"
+    !digest
+
 (* --------------------------- pipeline ----------------------------- *)
 
 let small_pipeline = { Pipeline.default_params with tasks = 20 }
@@ -202,29 +221,21 @@ let test_phold_three_engines_agree () =
    LPs' self-cycles through tens of thousands of Algorithm 2 cuts. *)
 let cut_phold = { Phold.default_params with horizon = 4.0 }
 
-(* Every cut is counted, but the event log keeps one Cycle_cut entry per
-   cut interval, on its first cut: the log's readers (Invariant, Explain)
-   only ask whether an interval was cut. *)
+(* Every cut is counted, but an interval's [cut] flag records only that
+   it was cut: the readers of the histories (Invariant, Explain) ask no
+   more. The run's explain report is pinned too. *)
 let test_phold_cut_logged_once () =
   let rt = ref None in
   ignore
     (Phold.run_hope ~seed:42 ~on_setup:(fun r -> rt := Some r) cut_phold
       : Phold.outcome);
   let rt = Option.get !rt in
-  let started = ref 0 and logged = Hashtbl.create 64 and entries = ref 0 in
-  Runtime.iter_events
-    (function
-      | Runtime.Interval_started _ -> incr started
-      | Runtime.Cycle_cut { iid; _ } ->
-        incr entries;
-        Hashtbl.replace logged iid ()
-      | _ -> ())
-    rt;
-  Alcotest.(check bool) "thousands of cuts" true (Runtime.cycle_cuts rt >= 1000);
-  Alcotest.(check bool) "some cuts logged" true (!entries > 0);
-  Alcotest.(check bool) "no more cut entries than intervals" true
-    (!entries <= !started);
-  Alcotest.(check int) "one entry per cut interval" (Hashtbl.length logged) !entries;
+  let s = Explain.summary (Explain.of_runtime rt) in
+  Alcotest.(check int) "every cut counted" 23_441 (Runtime.cycle_cuts rt);
+  Alcotest.(check int) "intervals opened" 89 s.Explain.intervals;
+  Alcotest.(check int) "intervals with a cut" 54 s.Explain.cut_intervals;
+  Alcotest.(check string) "explain digest" "18555bf6f63611c21811168a37457795"
+    (explain_digest rt);
   Alcotest.(check (list string)) "invariants hold" []
     (List.map (Format.asprintf "%a" Invariant.pp_violation) (Invariant.check_all rt))
 
@@ -401,6 +412,7 @@ let () =
           test "non-FIFO ordering repaired" test_report_non_fifo_repairs_ordering;
           test "deterministic" test_report_deterministic;
           test "WAN chrome trace pinned" test_report_wan_trace_pinned;
+          test "WAN explain report pinned" test_report_wan_explain_pinned;
           QCheck_alcotest.to_alcotest qcheck_report_any_params;
         ] );
       ( "pipeline",
