@@ -1010,7 +1010,9 @@ let gov () =
      cycle cut commits every interval where the ungoverned run livelocks; \
      under hostile denials, forged rollbacks, and flash crowds it keeps \
      the run legal while gating guesses, stalling sends, or cutting \
-     cycles as policy demands";
+     cycles as policy demands; with 64 AIDs gated, the tick's throttled \
+     count costs the same at 64 and 512 throttle cells (<=3x), and a \
+     sampler stride does no per-instrument name lookup";
   Printf.printf "%-16s %-10s %8s %6s %7s %6s %7s %5s %5s %6s\n" "scenario"
     "governor" "events" "final" "rolled" "gated" "stalls" "cuts" "peak"
     "legal";
@@ -1042,7 +1044,81 @@ let gov () =
               jbool "legal" o.Adversary.legal;
             ])
         [ false; true ])
-    Adversary.all
+    Adversary.all;
+  (* The governor's tick, once per sampler stride: the throttled count,
+     which must cost per gated AID, not per AID ever tracked, and the
+     sampler's registry read, which must not look up instrument names. *)
+  let module Throttle = Hope_gov.Throttle in
+  let clock = Bechamel.Toolkit.Monotonic_clock.make () in
+  let now () = Bechamel.Toolkit.Monotonic_clock.get clock in
+  let median l = List.nth (List.sort compare l) (List.length l / 2) in
+  (* Governed traffic as it comes: a replica tracks up to 421 AIDs
+     (occ-hybrid-skew) and gates up to 119 at once (PHOLD, horizon 15).
+     Every cell trips at 0 and has released by 1 s, when [gated] cells
+     trip again; an untimed tick unlists the released ones. The timed
+     ticks then span 4 ms of virtual time, inside the 27.7 ms hold of the
+     re-tripped cells. *)
+  let ticks = 4096 and gated = 64 in
+  let tick_sample cells =
+    let t = Throttle.create () in
+    for key = 0 to cells - 1 do
+      Throttle.bump t ~now:0.0 ~key 1.0
+    done;
+    for key = 0 to gated - 1 do
+      Throttle.bump t ~now:1.0 ~key 1.0
+    done;
+    ignore (Throttle.throttled_count t ~now:1.0 : int);
+    let t0 = now () in
+    for k = 1 to ticks do
+      ignore (Throttle.throttled_count t ~now:(1.0 +. (float_of_int k *. 1e-6)) : int)
+    done;
+    let ns = (now () -. t0) /. float_of_int ticks in
+    if Throttle.throttled_count t ~now:1.004 <> gated then
+      failwith "gov bench: wrong throttled count";
+    ns
+  in
+  Printf.printf "\n%-6s %-26s %12s\n" "cells" "throttled_count" "ns/tick";
+  let ns_at =
+    List.map
+      (fun cells ->
+        let ns = median (List.init 7 (fun _ -> tick_sample cells)) in
+        Printf.printf "%-6d %-26s %12.1f\n" cells (Printf.sprintf "%d gated" gated) ns;
+        row "gov"
+          ~key:[ jint "cells" cells; jint "gated" gated; jstr "impl" "throttle_tick" ]
+          [ jfloat "ns_per_tick" ns ];
+        (cells, ns))
+      [ 64; 512 ]
+  in
+  gate "gov" "gated=64 cells=512 ns_per_tick <= 3 * cells=64 ns_per_tick"
+    (List.assoc 512 ns_at) Gate.Le
+    (3.0 *. List.assoc 64 ns_at);
+  (* The sampler's stride on a registry shaped like occ-hybrid-skew's: 57
+     counters and 7 gauges, besides the telemetry's own 11 sources. *)
+  let counters = 57 and gauges = 7 and samples = 10_000 in
+  let eng = Engine.create () in
+  let tele = Telemetry.create ~recorder:(Engine.obs eng) () in
+  Telemetry.install tele eng;
+  let reg = Engine.metrics eng in
+  for i = 1 to counters do
+    Metrics.add (Metrics.counter reg (Printf.sprintf "bench.counter_%02d" i)) i
+  done;
+  for i = 1 to gauges do
+    Metrics.set_gauge (Metrics.gauge reg (Printf.sprintf "bench.gauge_%d" i)) 0.5
+  done;
+  Telemetry.sample_now tele;
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  let t0 = now () in
+  for _ = 1 to samples do
+    Telemetry.sample_now tele
+  done;
+  let ns = (now () -. t0) /. float_of_int samples in
+  let words = (Gc.minor_words () -. w0) /. float_of_int samples in
+  Printf.printf "\n%-9s %-7s %12s %18s\n" "counters" "gauges" "ns/sample" "minor words/sample";
+  Printf.printf "%-9d %-7d %12.1f %18.1f\n" counters gauges ns words;
+  row "gov"
+    ~key:[ jint "counters" counters; jint "gauges" gauges; jstr "impl" "sampler" ]
+    [ jfloat "ns_per_sample" ns; jfloat "minor_words_per_sample" words ]
 
 (* --------------------------------------------------------------- *)
 (* E15 (rollback): incremental undo-journal storage vs the seed's    *)

@@ -33,7 +33,11 @@
       right trade exactly when wasted%% says speculation is losing.
 
     The policy tick (diagnostic consumption, threshold adaptation, gauge
-    refresh) rides the telemetry sampler's pre-sample hook; the gauges
+    refresh) rides the telemetry sampler's pre-sample hook, once per
+    stride. It pays per throttled AID, not per AID ever seen: the
+    [gov.throttled_aids] gauge reads {!Throttle.throttled_count}, which
+    visits only the AIDs that have tripped and not yet released. The
+    gauges
     [gov.throttled_aids] and [gov.cut_threshold] plus the counters
     [gov.forced_cuts], [gov.denials_observed], [hope.guesses_gated] and
     [hope.send_stalls] land in the engine's metrics registry, so the
@@ -72,8 +76,8 @@ val forced_cuts : t -> int
 val denials_observed : t -> int
 
 val throttled_aids : t -> int
-(** AIDs currently throttled (decayed to the engine's current virtual
-    time). *)
+(** AIDs currently throttled at the engine's current virtual time
+    ({!Throttle.throttled_count}). *)
 
 val guesses_gated : t -> int
 (** Guesses refused so far ([hope.guesses_gated] from the registry). *)

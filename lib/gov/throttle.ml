@@ -2,6 +2,7 @@ type cell = {
   mutable level : float;
   mutable at : float;  (* virtual time [level] was last current *)
   mutable gated : bool;
+  mutable listed : bool;  (* in [held] *)
 }
 
 type t = {
@@ -9,13 +10,16 @@ type t = {
   low : float;
   tau : float;
   cells : (int, cell) Hashtbl.t;
+  mutable held : cell list;
+      (* every gated cell, plus any released since the last
+         [throttled_count] *)
 }
 
 let create ?(high = 1.0) ?(low = 0.25) ?(tau = 20e-3) () =
   if not (0.0 < low && low < high) then
     invalid_arg "Throttle.create: need 0 < low < high";
-  if tau <= 0.0 then invalid_arg "Throttle.create: need tau > 0";
-  { high; low; tau; cells = Hashtbl.create 64 }
+  if not (tau > 0.0) then invalid_arg "Throttle.create: need tau > 0";
+  { high; low; tau; cells = Hashtbl.create 64; held = [] }
 
 let high t = t.high
 let low t = t.low
@@ -26,7 +30,7 @@ let min_hold t = t.tau *. log (t.high /. t.low)
 let cell t key =
   try Hashtbl.find t.cells key
   with Not_found ->
-    let c = { level = 0.0; at = 0.0; gated = false } in
+    let c = { level = 0.0; at = 0.0; gated = false; listed = false } in
     Hashtbl.add t.cells key c;
     c
 
@@ -41,11 +45,18 @@ let refresh t c ~now =
   if c.gated && c.level <= t.low then c.gated <- false
 
 let bump t ~now ~key amount =
+  if Float.is_nan amount then invalid_arg "Throttle.bump: NaN pressure";
   if amount < 0.0 then invalid_arg "Throttle.bump: negative pressure";
   let c = cell t key in
   refresh t c ~now;
   c.level <- c.level +. amount;
-  if c.level >= t.high then c.gated <- true
+  if c.level >= t.high then begin
+    c.gated <- true;
+    if not c.listed then begin
+      c.listed <- true;
+      t.held <- c :: t.held
+    end
+  end
 
 let level t ~now ~key =
   match Hashtbl.find_opt t.cells key with
@@ -61,11 +72,16 @@ let throttled t ~now ~key =
     refresh t c ~now;
     c.gated
 
+(* Every gated cell is listed, so refreshing the listed ones alone is
+   exact, and costs O(gated) however many cells were ever tracked. *)
 let throttled_count t ~now =
-  Hashtbl.fold
-    (fun _ c acc ->
-      refresh t c ~now;
-      if c.gated then acc + 1 else acc)
-    t.cells 0
+  t.held <-
+    List.filter
+      (fun c ->
+        refresh t c ~now;
+        c.listed <- c.gated;
+        c.gated)
+      t.held;
+  List.length t.held
 
 let tracked t = Hashtbl.length t.cells

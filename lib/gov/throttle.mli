@@ -15,14 +15,17 @@
     The machine is pure with respect to the clock: every query passes
     [~now], decay is applied lazily at observation time, and equal
     [(calls, now)] sequences give equal answers — the determinism the
-    simulator's governor needs. *)
+    simulator's governor needs.
+
+    Each key is listed when it trips, so {!throttled_count} visits the
+    throttled keys only, never every key ever observed. *)
 
 type t
 
 val create : ?high:float -> ?low:float -> ?tau:float -> unit -> t
 (** Defaults: [high = 1.0], [low = 0.25], [tau = 20e-3] (virtual
     seconds). @raise Invalid_argument unless [0 < low < high] and
-    [tau > 0]. *)
+    [tau > 0] (so a NaN parameter is rejected). *)
 
 val high : t -> float
 val low : t -> float
@@ -33,8 +36,9 @@ val min_hold : t -> float
     throttled once it trips — the anti-oscillation bound. *)
 
 val bump : t -> now:float -> key:int -> float -> unit
-(** Decay [key]'s level to [now], then add the given pressure (must be
-    [>= 0.]). Reaching the high watermark trips the throttle. *)
+(** Decay [key]'s level to [now], then add the given pressure. Reaching
+    the high watermark trips the throttle.
+    @raise Invalid_argument on a NaN or negative pressure. *)
 
 val level : t -> now:float -> key:int -> float
 (** The decayed pressure level ([0.] for an unseen key). *)
@@ -44,8 +48,11 @@ val throttled : t -> now:float -> key:int -> bool
     hysteresis exit at the low watermark). *)
 
 val throttled_count : t -> now:float -> int
-(** Number of currently throttled keys (walks the table — a per-tick
-    gauge read, not a hot-path one). *)
+(** Number of keys throttled at [now]: equal to the number of keys for
+    which {!throttled} would answer [true]. Costs O(keys throttled at or
+    since the last call): it refreshes those keys and unlists the released
+    ones, and never touches a key that has not tripped, whatever
+    {!tracked} is. *)
 
 val tracked : t -> int
 (** Keys ever observed. *)

@@ -21,7 +21,7 @@ type t = {
   ts_stride : float;
   tbl : (string, series) Hashtbl.t;
   mutable order : series list;  (* creation order, newest first *)
-  mutable fixed : (series * (unit -> float)) list;  (* newest first *)
+  mutable fixed : (series * (unit -> float)) list;  (* registration order *)
   mutable samples : int;
 }
 
@@ -100,10 +100,10 @@ let to_list s = List.init (length s) (nth s)
 
 let add_source t nm f =
   let s = series t nm in
-  t.fixed <- (s, f) :: List.filter (fun (s', _) -> s' != s) t.fixed
+  t.fixed <- List.filter (fun (s', _) -> s' != s) t.fixed @ [ (s, f) ]
 
 let sample t ~time =
-  List.iter (fun (s, f) -> record s ~time (f ())) (List.rev t.fixed);
+  List.iter (fun (s, f) -> record s ~time (f ())) t.fixed;
   t.samples <- t.samples + 1
 
 let samples t = t.samples

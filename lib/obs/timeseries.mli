@@ -30,10 +30,12 @@ val capacity : t -> int
 
 val add_source : t -> string -> (unit -> float) -> unit
 (** Register a fixed-name source, read once per {!sample}. Registering
-    the same name twice replaces the thunk, not the series. *)
+    the same name twice replaces the thunk, not the series, and moves the
+    source to the end of the reading order. *)
 
 val sample : t -> time:float -> unit
-(** Read every source and append one point per series at [time]. *)
+(** Read every source, in registration order, and append one point per
+    series at [time]. *)
 
 val samples : t -> int
 (** Number of {!sample} calls so far. *)

@@ -158,11 +158,13 @@ let counters reg = sorted_bindings reg.counters_tbl |> List.map (fun (k, c) -> (
 let gauges reg = sorted_bindings reg.gauges_tbl |> List.map (fun (k, g) -> (k, g.v))
 let histograms reg = sorted_bindings reg.hists_tbl
 
-(* Unsorted, allocation-free variants of [counters]/[gauges] for the
-   per-sample telemetry hot path, where rebuilding a sorted assoc list a
-   thousand times per run is pure garbage. *)
-let iter_counters reg f = Hashtbl.iter (fun k c -> f k c.n) reg.counters_tbl
-let iter_gauges reg f = Hashtbl.iter (fun k g -> f k g.v) reg.gauges_tbl
+(* Unsorted visits handing out the instruments themselves: the telemetry
+   sampler binds each one to its series once, then reads it per stride
+   without a name lookup. *)
+let iter_counters reg f = Hashtbl.iter f reg.counters_tbl
+let iter_gauges reg f = Hashtbl.iter f reg.gauges_tbl
+let instrument_count reg =
+  Hashtbl.length reg.counters_tbl + Hashtbl.length reg.gauges_tbl
 
 let find_counter reg name =
   match Hashtbl.find_opt reg.counters_tbl name with Some c -> c.n | None -> 0

@@ -72,12 +72,18 @@ val gauges : registry -> (string * float) list
 val histograms : registry -> (string * histogram) list
 (** All histograms, sorted by name. *)
 
-val iter_counters : registry -> (string -> int -> unit) -> unit
-(** Visit every counter without allocating, in unspecified order — the
-    telemetry sampler reads the registry once per stride through this. *)
+val iter_counters : registry -> (string -> counter -> unit) -> unit
+(** Visit every counter with its name, in unspecified order, without
+    allocating. The telemetry sampler binds each counter to its series
+    through this, and walks again only when {!instrument_count} moves. *)
 
-val iter_gauges : registry -> (string -> float -> unit) -> unit
-(** Allocation-free, unordered visit of every gauge. *)
+val iter_gauges : registry -> (string -> gauge -> unit) -> unit
+(** As {!iter_counters}, for gauges. *)
+
+val instrument_count : registry -> int
+(** Counters plus gauges. Instruments are never removed, so this only
+    grows, and it changes exactly when an [iter_*] walk would visit a new
+    instrument. *)
 
 val find_counter : registry -> string -> int
 (** Value of a counter, 0 if it was never created. *)

@@ -7,9 +7,12 @@ type pre_sample_handle = int
 type t = {
   mon : Monitor.t;
   ts : Timeseries.t;
-  handles : (string, Timeseries.series) Hashtbl.t;
-      (* raw registry name -> series, so per-sample reads skip both the
-         name sanitization and the by-name series lookup *)
+  mutable bound : (Metrics.registry * int) option;
+      (* the registry [counters] and [gauges] were bound from, and its
+         instrument count then: registries never shrink, so an equal count
+         means no instrument appeared since *)
+  mutable counters : (Metrics.counter * Timeseries.series) array;
+  mutable gauges : (Metrics.gauge * Timeseries.series) array;
   mutable engine : Engine.t option;  (* the one live, sampled engine *)
   mutable shard_engines : (int * Engine.t) list;
       (* shard id -> registry, snapshot-only (no sampler): the parallel
@@ -57,7 +60,9 @@ let create ?config ?(deep = false) ?(stride = 1e-3) ?(capacity = 1024)
   {
     mon;
     ts;
-    handles = Hashtbl.create 64;
+    bound = None;
+    counters = [||];
+    gauges = [||];
     engine = None;
     shard_engines = [];
     pre_samples = [];
@@ -79,12 +84,18 @@ let add_pre_sample t f =
 let remove_pre_sample t h =
   t.pre_samples <- List.filter (fun (h', _) -> h' <> h) t.pre_samples
 
-let handle t raw =
-  try Hashtbl.find t.handles raw
-  with Not_found ->
-    let s = Timeseries.series t.ts (Om.sanitize raw) in
-    Hashtbl.add t.handles raw s;
-    s
+(* Bind every counter and gauge to its series under the sanitized name,
+   in the registry's own visiting order. This is the only registry walk:
+   a stride reads the bound instruments, with no name hashing. *)
+let bind t reg n =
+  let pairs iter =
+    let acc = ref [] in
+    iter reg (fun raw i -> acc := (i, Timeseries.series t.ts (Om.sanitize raw)) :: !acc);
+    Array.of_list (List.rev !acc)
+  in
+  t.counters <- pairs Metrics.iter_counters;
+  t.gauges <- pairs Metrics.iter_gauges;
+  t.bound <- Some (reg, n)
 
 let sample t eng =
   (* Pre-sample hooks run before the sources are read so anything they
@@ -92,12 +103,15 @@ let sample t eng =
      instead of lagging one stride. *)
   List.iter (fun (_, f) -> f eng t) t.pre_samples;
   let now = Engine.now eng in
-  (* Direct registry walk (no sorted assoc lists): this runs once per
-     stride for the whole run, so it must not shed garbage. *)
   let reg = Engine.metrics eng in
-  Metrics.iter_counters reg (fun k n ->
-      Timeseries.record (handle t k) ~time:now (float_of_int n));
-  Metrics.iter_gauges reg (fun k v -> Timeseries.record (handle t k) ~time:now v);
+  let n = Metrics.instrument_count reg in
+  (match t.bound with
+  | Some (r, m) when r == reg && m = n -> ()
+  | _ -> bind t reg n);
+  Array.iter
+    (fun (c, s) -> Timeseries.record s ~time:now (float_of_int (Metrics.count c)))
+    t.counters;
+  Array.iter (fun (g, s) -> Timeseries.record s ~time:now (Metrics.gauge_value g)) t.gauges;
   Timeseries.sample t.ts ~time:now;
   Monitor.check_stalls t.mon ~now;
   t.on_sample eng t

@@ -45,11 +45,14 @@ val install : t -> Engine.t -> unit
 (** Make the engine the one live engine this telemetry samples: hook
     sampling into its virtual-time sampler (replacing any sampler it
     already had) and register its executed/pending event counts as
-    sources. Each sample walks the engine's metrics registry directly —
-    every counter and gauge lands in a series under its sanitized name,
-    with new instruments picked up as they appear — and also runs the
-    monitor's stall check. The monitor's own gauges were registered as
-    sources at {!create} time.
+    sources. Every counter and gauge of the engine's metrics registry
+    lands in a series under its sanitized name: a sample binds each
+    instrument to its series once, and walks the registry again only
+    when {!Metrics.instrument_count} moves, so new instruments are picked
+    up at the first sample after they appear and a stride is one array
+    pass with no name lookup. Each sample also runs the monitor's stall
+    check. The monitor's own gauges were registered as sources at
+    {!create} time.
 
     Install is idempotent: installing the same engine again registers
     nothing twice. Installing another engine replaces the first as the

@@ -99,6 +99,118 @@ let test_throttle_basics () =
     (Invalid_argument "Throttle.bump: negative pressure") (fun () ->
       Throttle.bump t ~now:1.0 ~key:7 (-1.0))
 
+(* A NaN would poison a level for good: it never decays through the low
+   mark. *)
+let test_throttle_rejects_nan () =
+  Alcotest.check_raises "NaN tau rejected"
+    (Invalid_argument "Throttle.create: need tau > 0") (fun () ->
+      ignore (Throttle.create ~tau:nan () : Throttle.t));
+  let t = Throttle.create () in
+  Alcotest.check_raises "NaN pressure rejected"
+    (Invalid_argument "Throttle.bump: NaN pressure") (fun () ->
+      Throttle.bump t ~now:0.0 ~key:1 nan);
+  Alcotest.(check (float 0.0)) "level untouched" 0.0 (Throttle.level t ~now:0.0 ~key:1)
+
+(* [throttled_count] visits only the keys listed when they tripped.
+   Against random multi-key traffic (bumps on gated keys included, and
+   releases seen first by [throttled] or [level]) it must equal the
+   number of keys [throttled] reports at that instant. *)
+let multi_key_ops =
+  QCheck.(
+    list_of_size
+      (Gen.int_range 1 120)
+      (quad (float_bound_exclusive 0.01) (int_bound 3) (int_bound 7)
+         (float_bound_exclusive 1.2)))
+
+(* Drive a throttle at [p]'s watermarks and decay. Under a profile that
+   never trips ([Policy.hybrid]'s infinite high watermark) the count must
+   also always be 0. *)
+let count_matches_throttled (p : Policy.t) ops =
+  let t =
+    Throttle.create ~high:p.Policy.high_watermark ~low:p.Policy.low_watermark
+      ~tau:p.Policy.decay_tau ()
+  in
+  let now = ref 0.0 in
+  List.for_all
+    (fun (dt, op, key, amount) ->
+      now := !now +. dt;
+      let now = !now in
+      match op with
+      | 0 -> Throttle.bump t ~now ~key amount; true
+      | 1 -> ignore (Throttle.throttled t ~now ~key : bool); true
+      | 2 -> ignore (Throttle.level t ~now ~key : float); true
+      | _ ->
+        let n = Throttle.throttled_count t ~now in
+        let seen =
+          List.length
+            (List.filter (fun key -> Throttle.throttled t ~now ~key) (List.init 8 Fun.id))
+        in
+        if n <> seen then
+          QCheck.Test.fail_reportf "%s: throttled_count %d, throttled on %d keys at %g"
+            p.Policy.name n seen now
+        else if p.Policy.high_watermark = infinity && n <> 0 then
+          QCheck.Test.fail_reportf "%s: %d throttled keys" p.Policy.name n
+        else true)
+    ops
+
+let qcheck_count_matches_throttled =
+  QCheck.Test.make ~name:"throttle: count equals the keys throttled now" ~count:500
+    multi_key_ops (fun ops ->
+      count_matches_throttled Policy.default ops && count_matches_throttled Policy.hybrid ops)
+
+(* The first 1 ms tick from [from] on at which [throttled_count] reads
+   0, the ticks being the throttle's only observer. *)
+let first_quiet_tick ?(from = 1) t =
+  let rec go k =
+    if k > 1000 then Alcotest.fail "never released"
+    else if Throttle.throttled_count t ~now:(float_of_int k *. 1e-3) = 0 then k
+    else go (k + 1)
+  in
+  go from
+
+let test_throttle_count_release_tick () =
+  let t = Throttle.create () in
+  Throttle.bump t ~now:0.0 ~key:3 1.0;
+  let hold = Throttle.min_hold t in
+  Alcotest.(check int) "leaves at the first tick after min_hold"
+    (int_of_float (Float.ceil (hold /. 1e-3)))
+    (first_quiet_tick t)
+
+let test_throttle_count_bump_delays () =
+  let t = Throttle.create () in
+  Throttle.bump t ~now:0.0 ~key:3 1.0;
+  for k = 1 to 10 do
+    ignore (Throttle.throttled_count t ~now:(float_of_int k *. 1e-3) : int)
+  done;
+  Throttle.bump t ~now:0.0105 ~key:3 0.5;
+  let tau = Throttle.tau t in
+  let level = exp (-0.0105 /. tau) +. 0.5 in
+  let release = 0.0105 +. (tau *. log (level /. Throttle.low t)) in
+  let quiet = first_quiet_tick ~from:11 t in
+  Alcotest.(check int) "the bump moves the release tick"
+    (int_of_float (Float.ceil (release /. 1e-3)))
+    quiet;
+  Alcotest.(check bool) "later than the unbumped hold" true
+    (float_of_int quiet *. 1e-3 > Throttle.min_hold t)
+
+let test_throttle_count_retrip_once () =
+  let t = Throttle.create () in
+  Throttle.bump t ~now:0.0 ~key:3 1.0;
+  Alcotest.(check int) "tripped" 1 (Throttle.throttled_count t ~now:0.0);
+  Alcotest.(check bool) "release seen by throttled" false
+    (Throttle.throttled t ~now:0.030 ~key:3);
+  Throttle.bump t ~now:0.031 ~key:3 1.0;
+  (* still listed from the first trip: it must not be listed twice *)
+  Alcotest.(check int) "re-trip counts once" 1 (Throttle.throttled_count t ~now:0.031);
+  let release =
+    0.031
+    +. (Throttle.tau t *. log (Throttle.level t ~now:0.031 ~key:3 /. Throttle.low t))
+  in
+  Alcotest.(check int) "held until the new release" 1
+    (Throttle.throttled_count t ~now:(release -. 1e-3));
+  Alcotest.(check int) "released after it" 0
+    (Throttle.throttled_count t ~now:(release +. 1e-3))
+
 (* The escalation loop reuses {!Throttle}, so a mode flip inherits the
    same hysteresis law — but at each policy's own watermarks, which sit
    far from the defaults (hybrid trips at 6.0). Drive a throttle built
@@ -390,6 +502,31 @@ let test_governed_phold_cut_trace_pinned () =
           (Hope_obs.Obs.export_string Hope_obs.Obs.Chrome
              (Hope_obs.Recorder.events obs))))
 
+(* A small governed OCC run, wired as `hope_sim occ --mode hybrid` wires
+   it: one telemetry, with the [Policy.hybrid] governor installed on it
+   in [on_setup]. Its OpenMetrics export is pinned: every series the
+   sampler records, counters and gauges created mid-run among them, and
+   the governor's gauges, stride by stride. Regenerate the constant only
+   for a change that means to alter the export. *)
+let test_governed_occ_metrics_pinned () =
+  let obs = Hope_obs.Recorder.create () in
+  let tele = Telemetry.create ~deep:true ~recorder:obs () in
+  let on_setup rt =
+    Telemetry.install tele (Scheduler.engine (Runtime.scheduler rt));
+    ignore (Governor.install ~policy:Policy.hybrid rt ~tele : Governor.t)
+  in
+  let p =
+    { Hope_workloads.Occ.default_params with clients = 8; skew = 2.0; transactions = 10 }
+  in
+  ignore
+    (Hope_workloads.Occ.run ~seed:42 ~obs ~mode:`Hybrid ~on_setup p
+      : Hope_workloads.Occ.result);
+  let om = Telemetry.openmetrics tele in
+  Alcotest.(check bool) "sampled more than once" true
+    (Hope_obs.Timeseries.samples (Telemetry.series tele) > 1);
+  Alcotest.(check string) "openmetrics digest" "6410f824ec485a8f62193f4783504723"
+    (Digest.to_hex (Digest.string om))
+
 (* ------------------------------------------------------------------ *)
 (* Adversary scenarios                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -516,6 +653,13 @@ let () =
       ( "throttle",
         [
           test "watermarks, hold, release" test_throttle_basics;
+          test "NaN input rejected" test_throttle_rejects_nan;
+          test "count leaves at the first tick after the hold"
+            test_throttle_count_release_tick;
+          test "a bump during the hold delays the release tick"
+            test_throttle_count_bump_delays;
+          test "a re-trip after a release counts once" test_throttle_count_retrip_once;
+          QCheck_alcotest.to_alcotest qcheck_count_matches_throttled;
           QCheck_alcotest.to_alcotest qcheck_no_fast_oscillation;
           QCheck_alcotest.to_alcotest qcheck_quiescent_decay;
           QCheck_alcotest.to_alcotest qcheck_escalation_no_fast_oscillation;
@@ -536,6 +680,7 @@ let () =
             test_idle_escalation_trace_byte_identical;
           test "governed PHOLD cut trace pinned"
             test_governed_phold_cut_trace_pinned;
+          test "governed OCC metrics pinned" test_governed_occ_metrics_pinned;
         ] );
       ( "adversary",
         [

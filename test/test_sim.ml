@@ -1,5 +1,5 @@
 (* Unit and property tests for the simulation kernel: RNG, heap, metrics,
-   vec, and the event engine. *)
+   vec, the event engine, and the telemetry sampler it drives. *)
 
 module Rng = Hope_sim.Rng
 module Heap = Hope_sim.Heap
@@ -7,6 +7,8 @@ module Equeue = Hope_sim.Equeue
 module Metrics = Hope_sim.Metrics
 module Vec = Hope_sim.Vec
 module Engine = Hope_sim.Engine
+module Telemetry = Hope_sim.Telemetry
+module Timeseries = Hope_obs.Timeseries
 
 let test name f = Alcotest.test_case name `Quick f
 
@@ -616,6 +618,55 @@ let test_engine_sampler () =
        false
      with Invalid_argument _ -> true)
 
+(* Telemetry binds each registry counter and gauge to its series and walks
+   the registry again only when an instrument appears. An instrument
+   created after N strides gets one point per later stride, read live;
+   the bindings made before keep one point per stride, never two. *)
+let test_telemetry_late_instrument () =
+  let e = Engine.create () in
+  let tele = Telemetry.create ~stride:1.0 ~recorder:(Engine.obs e) () in
+  Telemetry.install tele e;
+  let reg = Engine.metrics e in
+  let early = Metrics.counter reg "t.early" in
+  let late = ref None in
+  let ts = Telemetry.series tele in
+  let series_at = ref [] in
+  (* one event per stride, each followed by a sample; the late counter
+     and gauge appear in the fifth *)
+  for k = 0 to 9 do
+    ignore
+      (Engine.schedule_at e ~at:(float_of_int k +. 0.5) (fun _ ->
+           series_at := List.length (Timeseries.all ts) :: !series_at;
+           Metrics.incr early;
+           if k = 4 then
+             late := Some (Metrics.counter reg "t.late", Metrics.gauge reg "t.late_gauge");
+           Option.iter
+             (fun (c, g) ->
+               Metrics.add c 10;
+               Metrics.set_gauge g (float_of_int k))
+             !late))
+  done;
+  ignore (Engine.run e);
+  let points name =
+    match Timeseries.find ts name with
+    | Some s -> List.map snd (Timeseries.to_list s)
+    | None -> Alcotest.failf "no series %s" name
+  in
+  Alcotest.(check int) "ten strides" 10 (Timeseries.samples ts);
+  Alcotest.(check (list (float 0.0))) "early counter: one point per stride"
+    (List.init 10 (fun k -> float_of_int (k + 1)))
+    (points "t_early");
+  Alcotest.(check (list (float 0.0))) "late counter: one point per later stride"
+    [ 10.; 20.; 30.; 40.; 50.; 60. ] (points "t_late");
+  Alcotest.(check (list (float 0.0))) "late gauge: one point per later stride"
+    [ 4.; 5.; 6.; 7.; 8.; 9. ] (points "t_late_gauge");
+  (* series at the start of each stride: the early counter's appears at
+     the first sample, the late pair's at the fifth, and no other *)
+  let base = List.hd (List.rev !series_at) in
+  Alcotest.(check (list int)) "series set grows only with the registry"
+    ((base :: List.init 4 (fun _ -> base + 1)) @ List.init 5 (fun _ -> base + 3))
+    (List.rev !series_at)
+
 let test_engine_rejects_past () =
   let e = Engine.create () in
   ignore (Engine.schedule e ~delay:1.0 (fun _ -> ()));
@@ -689,5 +740,7 @@ let () =
           test "cancelled events recycled" test_engine_pool_cancelled_recycled;
           test "stale cancel is harmless" test_engine_stale_cancel_harmless;
           QCheck_alcotest.to_alcotest qcheck_engine_pool_bounded;
+          test "telemetry binds late instruments once, sampled live"
+            test_telemetry_late_instrument;
         ] );
     ]
