@@ -1467,9 +1467,7 @@ let obs_parallel_bench () =
   let dark_words = Gc.minor_words () -. w0 in
   let shard0_events =
     Metrics.count
-      (Metrics.counter
-         (Engine.metrics r.Hope_shard.Shard.engines.(0))
-         "shard.events")
+      (Metrics.counter r.Hope_shard.Shard.registries.(0) "shard.events")
   in
   (* Same denominator as the sequential OBS gate: every processed engine
      event (committed or later rolled back), summed across shards — the
@@ -1493,7 +1491,7 @@ let obs_parallel_bench () =
   let absorb_words =
     measure (fun () ->
         let tele = Telemetry.create ~recorder:(Recorder.create ()) () in
-        Telemetry.absorb_shards tele ~engines:r.Hope_shard.Shard.engines
+        Telemetry.absorb_shards tele ~registries:r.Hope_shard.Shard.registries
           ~samples:r.Hope_shard.Shard.samples)
   in
   let merge_words =

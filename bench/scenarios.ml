@@ -264,7 +264,6 @@ let run_compaction ?(messages = 10_000) ?(burst = 50) () =
       h_cancelled = (fun ~self:_ ~iid:_ ~msg_id:_ -> ());
       h_spawned = (fun _ -> ());
       h_spawn_child = (fun ~parent:_ ~child:_ -> None);
-      h_terminated = (fun _ -> ());
     };
   let m = Engine.metrics w.engine in
   let bounded = ref true in

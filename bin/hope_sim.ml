@@ -640,7 +640,7 @@ let phold_cmd =
           | `Tw -> Phold.run_timewarp ~seed p
           | `Hope -> Phold.run_hope ~seed ~obs ~on_setup p
           | `Par ->
-            let o, r = Phold.run_parallel ~domains ~seed ~grain p in
+            let o, r = Phold.run_parallel ~domains ~grain p in
             (* the deterministic merged trace: commit records in their
                domain-count-independent order *)
             if Hope_obs.Recorder.enabled obs then
@@ -651,43 +651,28 @@ let phold_cmd =
             Option.iter
               (fun tele ->
                 Telemetry.absorb_shards tele
-                  ~engines:r.Hope_shard.Shard.engines ~samples:r.samples;
+                  ~registries:r.Hope_shard.Shard.registries ~samples:r.samples;
                 Option.iter
                   (fun _wstride ->
                     (* a sharded run has no live sampler to ride; replay
-                       the GVT epochs post-merge instead *)
-                    let mon = Telemetry.monitor tele in
-                    let by_gvt = Hashtbl.create 32 in
-                    let order = ref [] in
+                       its GVT epochs post-merge instead *)
+                    let diags =
+                      Monitor.diagnostics_count (Telemetry.monitor tele)
+                    in
                     List.iter
-                      (fun (s : Monitor.shard_sample) ->
-                        (match Hashtbl.find_opt by_gvt s.sh_gvt with
-                        | None ->
-                          order := s.sh_gvt :: !order;
-                          Hashtbl.add by_gvt s.sh_gvt (ref [ s ])
-                        | Some l -> l := s :: !l))
-                      r.samples;
-                    List.iter
-                      (fun gvt ->
-                        let ss = !(Hashtbl.find by_gvt gvt) in
-                        let events =
-                          List.fold_left (fun a s -> a + s.Monitor.sh_events) 0 ss
-                        in
-                        let wasted =
-                          List.fold_left (fun a s -> a + s.Monitor.sh_rolled) 0 ss
-                        in
-                        let lag =
-                          List.fold_left
-                            (fun a s -> Float.max a (s.Monitor.sh_lvt -. gvt))
-                            0.0 ss
+                      (fun (ep : Monitor.epoch) ->
+                        let sum f =
+                          List.fold_left (fun a s -> a + f s) 0 ep.ep_shards
                         in
                         Printf.eprintf
                           "[watch] gvt=%.6fs shards=%d events=%d wasted=%d \
                            lag=%.6fs diags=%d\n\
                            %!"
-                          gvt (List.length ss) events wasted lag
-                          (List.length (Monitor.diagnostics mon)))
-                      (List.rev !order))
+                          ep.ep_gvt (List.length ep.ep_shards)
+                          (sum (fun s -> s.Monitor.sh_events))
+                          (sum (fun s -> s.Monitor.sh_rolled))
+                          ep.ep_lag diags)
+                      (Monitor.epochs r.samples))
                   opts.watch)
               tele;
             o)

@@ -730,7 +730,6 @@ let install sched ?(config = default_config) () =
             in
             Some itv.History.iid
           end);
-      h_terminated = (fun _pid -> ());
     }
   in
   Scheduler.set_hooks sched hooks;

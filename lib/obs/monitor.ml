@@ -125,11 +125,9 @@ type t = {
   mutable stragglers_ev : int;  (* Shard_straggler events seen *)
   mutable wasted_ev : int;  (* sum of their [rolled] *)
   mutable gvt : float;
-  mutable gvt_lag : float;  (* max shard lvt - gvt, latest epoch *)
+  mutable gvt_lag : float;  (* max epoch lag, epochs of >= 2 shards *)
   shard_last : (int, shard_sample) Hashtbl.t;  (* per-shard last sample *)
   shard_final : (int, shard_sample) Hashtbl.t;  (* per-shard newest sample *)
-  mutable imb_gvt : float;  (* epoch the open imbalance group belongs to *)
-  mutable imb_group : shard_sample list;
   mutable imb_streak : int;
   mutable imb_flagged : bool;
   flagged_gvt_stall : (int, unit) Hashtbl.t;
@@ -169,8 +167,6 @@ let create ?(config = default_config) () =
     gvt_lag = 0.0;
     shard_last = Hashtbl.create 8;
     shard_final = Hashtbl.create 8;
-    imb_gvt = Float.neg_infinity;
-    imb_group = [];
     imb_streak = 0;
     imb_flagged = false;
     flagged_gvt_stall = Hashtbl.create 8;
@@ -292,78 +288,91 @@ let observe t ~time ~proc payload =
   | Event.Cancel_send _ | Event.Mailbox_compact _ | Event.Sim_stop _ ->
       ()
 
-let attach ?(dep = false) t r = Recorder.set_tap r ~net:false ~dep (observe t)
+let attach ?(dep = false) t r = Recorder.set_tap r ~dep (observe t)
 
 (* ---- Parallel-engine diagnostics over per-shard GVT-epoch samples ---- *)
 
-(* Imbalance needs some history before ratios mean anything: groups whose
+type epoch = {
+  ep_gvt : float;
+  ep_shards : shard_sample list;
+  ep_lag : float;
+  ep_stragglers : int;
+}
+
+(* Epochs are keyed at the exporter's timestamp resolution (virtual
+   microseconds): two float-distinct GVT readings that render to the same
+   timestamp are one epoch, or an exposition would carry duplicate
+   samples. In (gvt, shard, events) order an epoch's samples are
+   contiguous, so one pass closes each epoch as the key moves on. *)
+let epochs samples =
+  let key s = Printf.sprintf "%.0f" (s.sh_gvt *. 1e6) in
+  (* [shards] holds each shard's newest sample, in first-seen order *)
+  let rec newest s = function
+    | p :: rest when p.sh_shard <> s.sh_shard -> p :: newest s rest
+    | _ :: rest -> s :: rest
+    | [] -> [ s ]
+  in
+  let close shards acc =
+    match shards with
+    | [] -> acc
+    | first :: _ ->
+        let lag a s = Float.max a (s.sh_lvt -. s.sh_gvt) in
+        let stragglers a s = a + s.sh_stragglers in
+        { ep_gvt = first.sh_gvt; ep_shards = shards;
+          ep_lag = List.fold_left lag 0.0 shards;
+          ep_stragglers = List.fold_left stragglers 0 shards }
+        :: acc
+  in
+  let rec go k shards acc = function
+    | [] -> List.rev (close shards acc)
+    | s :: rest when String.equal (key s) k -> go k (newest s shards) acc rest
+    | s :: rest -> go (key s) [ s ] (close shards acc) rest
+  in
+  go "" [] [] samples
+
+(* Imbalance needs some history before ratios mean anything: epochs whose
    busiest shard has processed fewer events than this floor are skipped. *)
 let imb_floor = 64
 
-(* Evaluate one closed GVT-epoch group: all shards' newest samples at the
-   same GVT value. Skew = cumulative-events ratio, or lvt-lead ratio when
-   every shard has positive lead over the shared floor. *)
-let eval_imbalance t =
-  (match t.imb_group with
+(* Evaluate one GVT epoch over its shards' newest samples; ties go to
+   the first-seen shard. Skew = cumulative-events ratio, or the ratio of
+   lvt leads over GVT when the slowest shard leads at all. *)
+let eval_imbalance t ep =
+  match ep.ep_shards with
   | [] | [ _ ] -> ()
-  | group ->
-      let gvt = t.imb_gvt in
-      let by_shard = Hashtbl.create 8 in
-      List.iter
-        (fun s ->
-          if not (Hashtbl.mem by_shard s.sh_shard) then
-            Hashtbl.add by_shard s.sh_shard s)
-        group;
-      if Hashtbl.length by_shard >= 2 then begin
-        let mx = ref None and mn = ref None in
-        Hashtbl.iter
-          (fun _ s ->
-            (match !mx with
-            | Some m when m.sh_events >= s.sh_events -> ()
-            | _ -> mx := Some s);
-            match !mn with
-            | Some m when m.sh_events <= s.sh_events -> ()
-            | _ -> mn := Some s)
-          by_shard;
-        match (!mx, !mn) with
-        | Some fast, Some slow ->
-            let lag =
-              Hashtbl.fold
-                (fun _ s acc -> Float.max acc (s.sh_lvt -. gvt))
-                by_shard 0.0
-            in
-            if lag > t.gvt_lag then t.gvt_lag <- lag;
-            let ev_ratio =
-              float_of_int fast.sh_events
-              /. float_of_int (max 1 slow.sh_events)
-            in
-            let lead_ratio =
-              let fl = fast.sh_lvt -. gvt and sl = slow.sh_lvt -. gvt in
-              if sl > 0.0 then fl /. sl else 0.0
-            in
-            let ratio = Float.max ev_ratio lead_ratio in
-            if fast.sh_events >= imb_floor && ratio >= t.config.imbalance_ratio
-            then begin
-              t.imb_streak <- t.imb_streak + 1;
-              if t.imb_streak >= t.config.imbalance_epochs
-                 && not t.imb_flagged
-              then begin
-                t.imb_flagged <- true;
-                diag t
-                  (Shard_imbalance
-                     {
-                       fast = fast.sh_shard;
-                       slow = slow.sh_shard;
-                       ratio;
-                       epochs = t.imb_streak;
-                       at = gvt;
-                     })
-              end
-            end
-            else t.imb_streak <- 0
-        | _ -> ()
-      end);
-  t.imb_group <- []
+  | first :: rest ->
+      let pick better =
+        List.fold_left (fun m s -> if better s m then s else m) first rest
+      in
+      let fast = pick (fun s m -> s.sh_events > m.sh_events)
+      and slow = pick (fun s m -> s.sh_events < m.sh_events) in
+      if ep.ep_lag > t.gvt_lag then t.gvt_lag <- ep.ep_lag;
+      let ev_ratio =
+        float_of_int fast.sh_events /. float_of_int (max 1 slow.sh_events)
+      in
+      let lead_ratio =
+        let lead s = s.sh_lvt -. s.sh_gvt in
+        if lead slow > 0.0 then lead fast /. lead slow else 0.0
+      in
+      let ratio = Float.max ev_ratio lead_ratio in
+      if fast.sh_events >= imb_floor && ratio >= t.config.imbalance_ratio
+      then begin
+        t.imb_streak <- t.imb_streak + 1;
+        if t.imb_streak >= t.config.imbalance_epochs && not t.imb_flagged
+        then begin
+          t.imb_flagged <- true;
+          diag t
+            (Shard_imbalance
+               {
+                 fast = fast.sh_shard;
+                 slow = slow.sh_shard;
+                 ratio;
+                 epochs = t.imb_streak;
+                 at = ep.ep_gvt;
+               })
+        end
+      end
+      else t.imb_streak <- 0
 
 let observe_shard_sample t s =
   if s.sh_gvt > t.gvt then t.gvt <- s.sh_gvt;
@@ -404,17 +413,11 @@ let observe_shard_sample t s =
           (Annihilation_storm
              { shard = s.sh_shard; annihilations = d_annih; at = s.sh_gvt })
       end);
-  Hashtbl.replace t.shard_last s.sh_shard s;
-  (* epoch grouping for the cross-shard imbalance check *)
-  if s.sh_gvt <> t.imb_gvt then begin
-    eval_imbalance t;
-    t.imb_gvt <- s.sh_gvt
-  end;
-  t.imb_group <- s :: t.imb_group
+  Hashtbl.replace t.shard_last s.sh_shard s
 
 let observe_shards t samples =
   List.iter (observe_shard_sample t) samples;
-  eval_imbalance t
+  List.iter (eval_imbalance t) (epochs samples)
 
 let fold_final t f init =
   Hashtbl.fold (fun _ s acc -> f acc s) t.shard_final init

@@ -125,12 +125,32 @@ type shard_sample = {
   sh_mailbox_peak : int;  (** outbound ring high-water mark *)
 }
 
+type epoch = {
+  ep_gvt : float;  (** the GVT of the first shard's newest sample *)
+  ep_shards : shard_sample list;
+      (** each reporting shard's newest sample, in first-seen order *)
+  ep_lag : float;  (** max [sh_lvt - sh_gvt] over [ep_shards], at least 0 *)
+  ep_stragglers : int;  (** [sh_stragglers] summed over [ep_shards] *)
+}
+(** One GVT epoch of a sharded run. *)
+
+val epochs : shard_sample list -> epoch list
+(** Group samples in (gvt, shard, events) order into GVT epochs, one per
+    virtual microsecond (the OpenMetrics timestamp resolution), oldest
+    first. A shard sampled several times in one epoch (GVT frozen, or two
+    GVTs inside one microsecond) counts once, by its newest sample; a
+    shard with no sample in an epoch is absent from it. The telemetry
+    export, [hope_sim --watch] and {!observe_shards}' imbalance detector
+    all read this fold. *)
+
 val observe_shards : t -> shard_sample list -> unit
-(** Fold a batch of per-shard samples, ordered by (gvt, shard): arms the
-    {!Gvt_stall}, {!Shard_imbalance}, {!Mailbox_backpressure} and
-    {!Annihilation_storm} detectors and updates the gvt/lag gauges. May
-    be called repeatedly with successive batches; per-shard deltas and
-    flag dedup persist across calls. *)
+(** Fold a batch of per-shard samples, ordered by (gvt, shard): every
+    sample arms the {!Gvt_stall}, {!Mailbox_backpressure} and
+    {!Annihilation_storm} detectors, then every {!epochs} epoch with at
+    least two shards arms {!Shard_imbalance} (its fastest and slowest
+    shard by events; on a tie, the first-seen) and the lag gauge. May be
+    called repeatedly with successive batches; per-shard deltas, the
+    imbalance streak and flag dedup persist across calls. *)
 
 (** {1 Gauges and counters} *)
 
@@ -171,7 +191,7 @@ val gvt : t -> float
 (** Latest global-virtual-time floor seen (events or samples). *)
 
 val gvt_lag : t -> float
-(** Max shard lvt − GVT over the latest evaluated epoch(s). *)
+(** Max [ep_lag] over the epochs with at least two shards seen so far. *)
 
 val gauges : t -> (string * float) list
 (** Snapshot of every gauge above under stable [hope_monitor_*] names,

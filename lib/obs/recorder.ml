@@ -6,18 +6,15 @@ type t = {
   mutable on : bool;
   mutable seq : int;
   mutable tap : tap option;
-  mutable tap_net : bool;
   mutable tap_dep : bool;
-  (* Cached guard results so [enabled]/[enabled_net]/[enabled_dep] stay
-     one unboxed load on the emission hot path. *)
+  (* Cached guard results so [enabled]/[enabled_dep] stay one unboxed
+     load on the emission hot path. *)
   mutable active : bool;
-  mutable active_net : bool;
   mutable active_dep : bool;
 }
 
 let refresh t =
   t.active <- t.on || t.tap <> None;
-  t.active_net <- t.on || (t.tap <> None && t.tap_net);
   t.active_dep <- t.on || (t.tap <> None && t.tap_dep)
 
 let create () =
@@ -27,10 +24,8 @@ let create () =
     on = false;
     seq = 0;
     tap = None;
-    tap_net = false;
     tap_dep = false;
     active = false;
-    active_net = false;
     active_dep = false;
   }
 
@@ -43,13 +38,11 @@ let disable t =
   refresh t
 
 let enabled t = t.active
-let enabled_net t = t.active_net
 let enabled_dep t = t.active_dep
 let storing t = t.on
 
-let set_tap t ?(net = false) ?(dep = false) f =
+let set_tap t ?(dep = false) f =
   t.tap <- Some f;
-  t.tap_net <- net;
   t.tap_dep <- dep;
   refresh t
 

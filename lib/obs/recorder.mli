@@ -11,13 +11,14 @@
     {e tap}. A tap is a callback invoked with the raw payload at emission
     time, before (and independent of) any storage. With only a tap
     attached, no {!Event.t} record is ever built and the log stays empty —
-    this is what the online {!Monitor} rides on. A tap that does not ask
-    for net-class traffic ([net = false], the default) leaves the
-    high-density message-path emission sites disabled entirely: those
-    sites guard on {!enabled_net} rather than {!enabled}. The same split
-    exists for the dependency-tracking class ([Dep_resolved], one per
-    Replace control message — the runtime's hottest core emission):
-    its site guards on {!enabled_dep}, opted into with [dep = true]. *)
+    this is what the online {!Monitor} rides on. Taps never see net-class
+    events on their own: the high-density message-path emission sites
+    ([Wire_send], [Msg_send], [Msg_recv], [Cancel_send]) guard on
+    {!storing}, so with only a tap attached they stay disabled entirely
+    (while the store is on, the tap is fed those events too). A tap may
+    opt into the dependency-tracking class ([Dep_resolved], one per
+    Replace control message — the runtime's hottest core emission) with
+    [dep = true]: its site guards on {!enabled_dep}. *)
 
 type t
 
@@ -38,12 +39,6 @@ val enabled : t -> bool
 (** True when emissions reach anyone: the store is on or a tap is set.
     Emission sites for core events guard on this. *)
 
-val enabled_net : t -> bool
-(** Like {!enabled} but for the net-class events ([Wire_send],
-    [Msg_send], [Msg_recv], [Cancel_send]): true when the store is on or
-    a tap with [~net:true] is set. The message-path emission sites guard
-    on this so a monitor-only tap pays nothing per message. *)
-
 val enabled_dep : t -> bool
 (** Like {!enabled} but for [Dep_resolved]: true when the store is on or
     a tap with [~dep:true] is set. One such event is emitted per Replace
@@ -51,12 +46,13 @@ val enabled_dep : t -> bool
     than the rest of the core stream; a monitor-only tap leaves it off. *)
 
 val storing : t -> bool
-(** True when events are being appended to the log (i.e. {!enable}d). *)
+(** True when events are being appended to the log (i.e. {!enable}d).
+    The net-class emission sites guard on this, so a monitor-only tap
+    pays nothing per message. *)
 
-val set_tap : t -> ?net:bool -> ?dep:bool -> tap -> unit
+val set_tap : t -> ?dep:bool -> tap -> unit
 (** Install [f] as the live consumer (replacing any previous tap).
-    [net] (default [false]) opts in to the net-class events; [dep]
-    (default [false]) to the [Dep_resolved] class. *)
+    [dep] (default [false]) opts in to the [Dep_resolved] class. *)
 
 val emit : t -> time:float -> proc:Hope_types.Proc_id.t -> Event.payload -> unit
 (** Feed the tap (if any), then append an event stamped with the next

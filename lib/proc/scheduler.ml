@@ -65,7 +65,6 @@ type hooks = {
   h_cancelled : self:Proc_id.t -> iid:Interval_id.t -> msg_id:int -> unit;
   h_spawned : Proc_id.t -> unit;
   h_spawn_child : parent:Proc_id.t -> child:Proc_id.t -> Interval_id.t option;
-  h_terminated : Proc_id.t -> unit;
 }
 
 type consumption = Not_consumed | Consumed_definite | Consumed_by of Interval_id.t
@@ -218,9 +217,9 @@ let counter t name = Metrics.counter (metrics t) name
 (* Structured observability: events attributed to the acting process, at
    the current virtual time. Everything the scheduler emits is net-class
    (one or more events per message, the densest part of the stream), so
-   its sites guard on [enabled_net]: payloads are not even allocated
-   while no recorder stores and no tap asked for message traffic. *)
-let obs_on_net t = Hope_obs.Recorder.enabled_net (Engine.obs t.eng)
+   its sites guard on [storing]: payloads are not even allocated while
+   no recorder stores, whatever tap is attached. *)
+let obs_on_net t = Hope_obs.Recorder.storing (Engine.obs t.eng)
 
 let obs_emit t ~proc payload =
   Hope_obs.Recorder.emit (Engine.obs t.eng) ~time:(Engine.now t.eng) ~proc
@@ -687,7 +686,6 @@ and terminate t p =
   p.gen <- p.gen + 1;
   p.completed_at <- Some (Engine.now t.eng);
   Metrics.incr t.hm.c_terminations;
-  (match t.hooks with Some h -> h.h_terminated p.pid | None -> ());
   (* A termination with live segments is still revivable by rollback;
      the matching purge then happens when the last segment is released. *)
   purge_orphaned_cancels t p

@@ -152,7 +152,6 @@ type hooks = {
           dependencies flow to the child (spawning is causally a message);
           returning an interval id makes the child's whole body its
           checkpoint *)
-  h_terminated : Proc_id.t -> unit;
 }
 
 val create :

@@ -33,14 +33,12 @@
      only entries with recv_ts >= the arrival's recv_ts, so the lowered
      floor covers those too.
 
-   Determinism: with the fixed assignment and per-shard Context RNG
-   streams, Time Warp commits exactly the sequential event set — the
-   merged trace sorts commit records by a key (recv_ts, dst_lp,
-   send_ts, src_lp, payload digest) that is independent of the domain
-   count, so the chrome trace is byte-identical at 1, 2, or 4 domains
-   (pinned in CI). *)
+   Determinism: with the fixed assignment, Time Warp commits exactly the
+   sequential event set — the merged trace sorts commit records by a key
+   (recv_ts, dst_lp, send_ts, src_lp, payload digest) that is
+   independent of the domain count, so the chrome trace is
+   byte-identical at 1, 2, or 4 domains (pinned in CI). *)
 
-module Engine = Hope_sim.Engine
 module Equeue = Hope_sim.Equeue
 module Context = Hope_sim.Context
 module Metrics = Hope_sim.Metrics
@@ -69,6 +67,14 @@ type 'p message = {
   root_send_ts : float;
 }
 
+(* A positive message; the [root_*] fields are filled in on anti-messages
+   only. *)
+let message ~mid ~src_lp ~dst_lp ~send_ts ~recv_ts payload =
+  { mid; src_lp; dst_lp; send_ts; recv_ts; payload; anti = false;
+    root_shard = -1; root_mid = -1; root_send_ts = 0.0 }
+
+(* Root-cause identity of a rollback cascade: the straggler that started
+   it ([p_shard] = -1 for a local cause). *)
 type provenance = { p_shard : int; p_mid : int; p_send_ts : float }
 
 type commit = {
@@ -116,9 +122,8 @@ type 's result = {
   max_rollback_depth : int;
   gvt_rounds : int;
   domains : int;
-  engines : Engine.t array;
+  registries : Metrics.registry array;
   samples : Monitor.shard_sample list;
-  wasted_by_root : (provenance * int) list;
 }
 
 (* ---------------------------------------------------------------- *)
@@ -169,7 +174,6 @@ type stats = {
 }
 
 type ('s, 'p) shard = {
-  ctx : Context.t;
   id : int;
   spec : ('s, 'p) spec;
   fab : 'p fabric;
@@ -185,10 +189,8 @@ type ('s, 'p) shard = {
          shard was itself blocked pushing; drained FIFO before the
          rings, preserving per-pair order *)
   stats : stats;
-  recorder : Recorder.t;  (* per-domain diagnostics (Engine.obs ctx) *)
-  wasted : (int, provenance * int ref) Hashtbl.t;
-      (* root mid -> (root, processed entries undone on its account);
-         mids are globally unique (striped), so the key alone suffices *)
+  registry : Metrics.registry;  (* the [shard.*] instruments, post-run *)
+  recorder : Recorder.t;  (* per-domain diagnostics ([obs_shard]'s) *)
   mutable samples_rev : Monitor.shard_sample list;
   mutable since_sample : int;
   mutable next_mid : int;
@@ -258,12 +260,6 @@ let remote_push sh ~dst_shard m =
 (* Rollback (Jefferson): restore the oldest undone snapshot, requeue
    the undone inputs, send anti-messages for the undone outputs.       *)
 
-(* Charge [n] undone entries to the cascade's root straggler. *)
-let attribute sh (root : provenance) n =
-  match Hashtbl.find_opt sh.wasted root.p_mid with
-  | Some (_, r) -> r := !r + n
-  | None -> Hashtbl.add sh.wasted root.p_mid (root, ref n)
-
 let rec rollback sh lp ~upto ~drop_mid ~root ~secondary =
   let rec split undone = function
     | e :: tl when e.e_msg.recv_ts >= upto -> split (e :: undone) tl
@@ -282,7 +278,6 @@ let rec rollback sh lp ~upto ~drop_mid ~root ~secondary =
       sh.stats.rollbacks <- sh.stats.rollbacks + 1;
       sh.stats.rolled_back <- sh.stats.rolled_back + n;
       if n > sh.stats.max_rollback then sh.stats.max_rollback <- n;
-      attribute sh root n;
       if Recorder.enabled sh.recorder then
         Recorder.emit sh.recorder ~time:upto ~proc:(Proc_id.of_int lp.gid)
           (Event.Shard_straggler
@@ -404,18 +399,8 @@ let process sh m =
         if ts' > sh.spec.horizon then None
         else begin
           let out =
-            {
-              mid = fresh_mid sh;
-              src_lp = lp.gid;
-              dst_lp = dst;
-              send_ts = m.recv_ts;
-              recv_ts = ts';
-              payload = p;
-              anti = false;
-              root_shard = -1;
-              root_mid = -1;
-              root_send_ts = 0.0;
-            }
+            message ~mid:(fresh_mid sh) ~src_lp:lp.gid ~dst_lp:dst
+              ~send_ts:m.recv_ts ~recv_ts:ts' p
           in
           let dsh = Context.owner ~shards:sh.fab.shards dst in
           if dsh = sh.id then enqueue_local sh out
@@ -476,6 +461,12 @@ let take_sample sh =
   sh.samples_rev <- s :: sh.samples_rev;
   sh.since_sample <- 0
 
+let commit sh { e_msg = m; _ } =
+  sh.commits <-
+    { c_recv_ts = m.recv_ts; c_dst_lp = m.dst_lp; c_src_lp = m.src_lp;
+      c_send_ts = m.send_ts; c_digest = sh.spec.digest m.payload }
+    :: sh.commits
+
 (* Move entries below the GVT floor into the shard's commit list. *)
 let collect_fossils sh =
   let g = Atomic.get sh.fab.gvt_ns in
@@ -495,15 +486,7 @@ let collect_fossils sh =
               (fun e ->
                 incr committed;
                 if e.e_msg.recv_ts > !hi then hi := e.e_msg.recv_ts;
-                sh.commits <-
-                  {
-                    c_recv_ts = e.e_msg.recv_ts;
-                    c_dst_lp = e.e_msg.dst_lp;
-                    c_src_lp = e.e_msg.src_lp;
-                    c_send_ts = e.e_msg.send_ts;
-                    c_digest = sh.spec.digest e.e_msg.payload;
-                  }
-                  :: sh.commits)
+                commit sh e)
               fossil)
       sh.lps;
     if !committed > 0 && Recorder.enabled sh.recorder then begin
@@ -522,18 +505,7 @@ let commit_remaining sh =
     (function
       | None -> ()
       | Some lp ->
-          List.iter
-            (fun e ->
-              sh.commits <-
-                {
-                  c_recv_ts = e.e_msg.recv_ts;
-                  c_dst_lp = e.e_msg.dst_lp;
-                  c_src_lp = e.e_msg.src_lp;
-                  c_send_ts = e.e_msg.send_ts;
-                  c_digest = sh.spec.digest e.e_msg.payload;
-                }
-                :: sh.commits)
-            lp.done_;
+          List.iter (commit sh) lp.done_;
           lp.done_ <- [])
     sh.lps
 
@@ -601,23 +573,7 @@ let shard_loop sh =
 (* ---------------------------------------------------------------- *)
 (* Run.                                                              *)
 
-let make_shard ~seed ~domains ~obs_shard spec fab id =
-  let obs = match obs_shard with None -> None | Some f -> f id in
-  let ctx = Context.make ~seed ?obs ~shards:domains ~shard_id:id () in
-  let dummy_msg =
-    {
-      mid = -1;
-      src_lp = -1;
-      dst_lp = -1;
-      send_ts = 0.0;
-      recv_ts = 0.0;
-      payload = spec.dummy;
-      anti = false;
-      root_shard = -1;
-      root_mid = -1;
-      root_send_ts = 0.0;
-    }
-  in
+let make_shard ~domains ~obs_shard ~dummy_msg spec fab id =
   let lps =
     Array.init spec.n_lps (fun gid ->
         if Context.owner ~shards:domains gid = id then
@@ -632,7 +588,6 @@ let make_shard ~seed ~domains ~obs_shard spec fab id =
   in
   let sh =
     {
-      ctx;
       id;
       spec;
       fab;
@@ -653,8 +608,11 @@ let make_shard ~seed ~domains ~obs_shard spec fab id =
           max_rollback = 0;
           gvt_rounds = 0;
         };
-      recorder = Engine.obs (Context.engine ctx);
-      wasted = Hashtbl.create 32;
+      registry = Metrics.create_registry ();
+      recorder =
+        (match Option.bind obs_shard (fun f -> f id) with
+        | Some r -> r
+        | None -> Recorder.create ());
       samples_rev = [];
       since_sample = 0;
       next_mid = 1;
@@ -667,39 +625,19 @@ let make_shard ~seed ~domains ~obs_shard spec fab id =
     (fun (dst, ts, p) ->
       if Context.owner ~shards:domains dst = id && ts <= spec.horizon then
         Equeue.push sh.pending ~priority:ts
-          {
-            mid = fresh_mid sh;
-            src_lp = -1;
-            dst_lp = dst;
-            send_ts = 0.0;
-            recv_ts = ts;
-            payload = p;
-            anti = false;
-            root_shard = -1;
-            root_mid = -1;
-            root_send_ts = 0.0;
-          })
+          (message ~mid:(fresh_mid sh) ~src_lp:(-1) ~dst_lp:dst ~send_ts:0.0
+             ~recv_ts:ts p))
     spec.seeds;
   sh
 
-let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
+let run ?(domains = 1) ?seed:(_ : int option) ?obs_shard spec =
   if domains <= 0 then invalid_arg "Shard.run: domains must be positive";
   if domains > 64 then invalid_arg "Shard.run: more than 64 domains";
   if spec.n_lps <= 0 then invalid_arg "Shard.run: n_lps must be positive";
   let n = domains in
   let dummy_msg =
-    {
-      mid = -1;
-      src_lp = -1;
-      dst_lp = -1;
-      send_ts = 0.0;
-      recv_ts = 0.0;
-      payload = spec.dummy;
-      anti = false;
-      root_shard = -1;
-      root_mid = -1;
-      root_send_ts = 0.0;
-    }
+    message ~mid:(-1) ~src_lp:(-1) ~dst_lp:(-1) ~send_ts:0.0 ~recv_ts:0.0
+      spec.dummy
   in
   let fab =
     {
@@ -713,7 +651,9 @@ let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
       stop = Atomic.make false;
     }
   in
-  let shards = Array.init n (make_shard ~seed ~domains:n ~obs_shard spec fab) in
+  let shards =
+    Array.init n (make_shard ~domains:n ~obs_shard ~dummy_msg spec fab)
+  in
   let others =
     Array.to_list
       (Array.init (n - 1) (fun i ->
@@ -734,7 +674,7 @@ let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
   Array.sort commit_compare commits;
   let sum f = Array.fold_left (fun acc sh -> acc + f sh.stats) 0 shards in
   (* A final sample per shard (post-join, so it reflects quiescence),
-     then publish each shard's stats into its engine's metrics registry —
+     then publish each shard's stats into its metrics registry —
      the per-shard labeled [shard="N"] OpenMetrics families. Runs on the
      joined main domain: no races, zero hot-path cost. The GVT cell still
      holds the quiescence sentinel; pin it to the committed horizon first
@@ -747,7 +687,7 @@ let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
   Array.iter (fun sh -> take_sample sh) shards;
   Array.iter
     (fun sh ->
-      let reg = Engine.metrics (Context.engine sh.ctx) in
+      let reg = sh.registry in
       let c name v = Metrics.add (Metrics.counter reg name) v in
       c "shard.events" sh.stats.processed;
       c "shard.stragglers" sh.stats.stragglers;
@@ -788,16 +728,6 @@ let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
          (fun sh -> List.rev sh.samples_rev)
          (Array.to_list shards))
   in
-  let wasted_by_root =
-    List.sort
-      (fun ((a : provenance), _) (b, _) ->
-        let c = compare a.p_shard b.p_shard in
-        if c <> 0 then c else compare a.p_mid b.p_mid)
-      (Array.fold_left
-         (fun acc sh ->
-           Hashtbl.fold (fun _ (root, r) acc -> (root, !r) :: acc) sh.wasted acc)
-         [] shards)
-  in
   {
     states;
     commits;
@@ -814,9 +744,8 @@ let run ?(domains = 1) ?(seed = 42) ?obs_shard spec =
       Array.fold_left (fun acc sh -> max acc sh.stats.max_rollback) 0 shards;
     gvt_rounds = sum (fun s -> s.gvt_rounds);
     domains = n;
-    engines = Array.map (fun sh -> Context.engine sh.ctx) shards;
+    registries = Array.map (fun sh -> sh.registry) shards;
     samples;
-    wasted_by_root;
   }
 
 (* ---------------------------------------------------------------- *)

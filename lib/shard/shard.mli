@@ -36,14 +36,13 @@ type 'p message = {
     destination back, the anti-messages it emits are stamped with the
     straggler's identity; a {e secondary} rollback triggered by such an
     anti inherits the same root, so every wasted event anywhere in the
-    cascade is attributable to the shard/message that started it. *)
-
-type provenance = {
-  p_shard : int;  (** shard that sent the root straggler ([-1] = local) *)
-  p_mid : int;  (** message id of the root straggler (globally unique) *)
-  p_send_ts : float;  (** virtual send time of the root straggler *)
-}
-(** Root-cause identity of a rollback cascade. *)
+    cascade is attributable to the shard/message that started it. Each
+    rollback reports its root and how many events it undid in a
+    [Shard_straggler] event ([obs_shard] of {!run});
+    {!Hope_obs.Analytics} sums those per root. The sums total
+    {!field-rolled_back} but are per-run truth, {e not} deterministic
+    across domain counts: a race decides which events run far enough
+    ahead to be wasted. *)
 
 type commit = {
   c_recv_ts : float;
@@ -88,23 +87,16 @@ type 's result = {
       (** deepest single rollback (events undone at once) on any shard *)
   gvt_rounds : int;
   domains : int;
-  engines : Hope_sim.Engine.t array;
-      (** per-shard engines, indexed by shard id; their metrics
-          registries carry the [shard.*] counters/gauges that
-          [Telemetry.absorb_shards] exports as [shard="N"] labeled
-          OpenMetrics families *)
+  registries : Hope_sim.Metrics.registry array;
+      (** per-shard metrics registries, indexed by shard id: the
+          [shard.*] counters/gauges that [Telemetry.absorb_shards]
+          exports as [shard="N"] labeled OpenMetrics families *)
   samples : Hope_obs.Monitor.shard_sample list;
       (** per-shard telemetry snapshots, taken at every GVT advance and
           every 2048 processed events, sorted by (gvt, shard, events);
           feed to {!Hope_obs.Monitor.observe_shards} (or
-          [Telemetry.absorb_shards]) to arm the parallel diagnostics *)
-  wasted_by_root : (provenance * int) list;
-      (** rollback attribution: for each root straggler, how many
-          executed events its cascade undid (primary and secondary
-          rollbacks both); sorted by (shard, mid). The counts sum to
-          {!field-rolled_back} — per-run truth, {e not} deterministic
-          across domain counts (a race decides which events speculate
-          ahead far enough to be wasted) *)
+          [Telemetry.absorb_shards]) to arm the parallel diagnostics, and
+          to {!Hope_obs.Monitor.epochs} for one view per GVT epoch *)
 }
 
 val run :
@@ -119,8 +111,12 @@ val run :
     [obs_shard] supplies an optional per-domain recorder per shard id
     for diagnostics ([Shard_straggler], [Gvt_advance]); these streams
     are per-domain and {e not} deterministic across domain counts — the
-    deterministic artifact is {!merge_into}'s.
-    [seed] feeds each shard's {!Hope_sim.Context} RNG stream.
+    deterministic artifact is {!merge_into}'s. A shard without one gets a
+    fresh, disabled recorder. Each shard holds only that recorder and a
+    fresh {!Hope_sim.Metrics.registry}: no engine, no RNG.
+    [seed] is ignored: the model is deterministic and nothing in the
+    executor draws random numbers. It stays so callers that pass one
+    keep compiling.
     @raise Invalid_argument on bad [domains]/[spec]. *)
 
 val merge_into : Hope_obs.Recorder.t -> 's result -> unit

@@ -20,10 +20,9 @@ val split : t -> t
 val split_n : t -> int -> t array
 (** [split_n t n] derives [n] independent generators by repeated
     {!split}: child [i] is seeded by the [(i+1)]-th draw of [t]'s
-    stream, so the children a shard context hands out depend only on
-    the parent seed and the shard index — never on how many other
-    shards exist or in what order they start. [t] advances by [n]
-    draws. @raise Invalid_argument if [n < 0]. *)
+    stream, so child [i] depends only on the parent seed and [i] —
+    never on [n] or on the order the children are used. [t] advances
+    by [n] draws. @raise Invalid_argument if [n < 0]. *)
 
 val copy : t -> t
 (** [copy t] duplicates the current state (same future stream). *)

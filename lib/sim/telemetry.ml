@@ -14,7 +14,7 @@ type t = {
   mutable counters : (Metrics.counter * Timeseries.series) array;
   mutable gauges : (Metrics.gauge * Timeseries.series) array;
   mutable engine : Engine.t option;  (* the one live, sampled engine *)
-  mutable shard_engines : (int * Engine.t) list;
+  mutable shard_registries : (int * Metrics.registry) list;
       (* shard id -> registry, snapshot-only (no sampler): the parallel
          engine's per-domain registries, read post-run for the labeled
          shard="N" instrument families *)
@@ -64,7 +64,7 @@ let create ?config ?(deep = false) ?(stride = 1e-3) ?(capacity = 1024)
     counters = [||];
     gauges = [||];
     engine = None;
-    shard_engines = [];
+    shard_registries = [];
     pre_samples = [];
     next_pre = 0;
     on_sample = (fun _ _ -> ());
@@ -128,88 +128,46 @@ let install t eng =
       float_of_int (Engine.pending_events eng));
   Engine.set_sampler eng ~stride:(Timeseries.stride t.ts) (sample t)
 
-let install_shard t ~shard eng =
-  if not (List.exists (fun (_, e) -> e == eng) t.shard_engines) then
-    t.shard_engines <- t.shard_engines @ [ (shard, eng) ]
-
-let has_shards t = t.shard_engines <> []
+let has_shards t = t.shard_registries <> []
 
 let shard_label i = [ ("shard", string_of_int i) ]
 
-(* Fold the sharded engine's GVT-epoch samples into the time series (one
-   point per shard per epoch, labeled) and the monitor's parallel
-   detectors. [samples] arrive ordered by (gvt, shard, events); when GVT
-   froze, a shard has several samples at one epoch — the series keep the
-   last one per (shard, gvt) so exported trajectories stay one point per
-   timestamp, while the monitor sees every sample (a frozen GVT is
-   exactly what [Gvt_stall] watches for). *)
-let absorb_shards t ~engines ~samples =
-  Array.iteri (fun i eng -> install_shard t ~shard:i eng) engines;
+(* Fold the sharded engine's samples into the monitor's parallel
+   detectors (every sample: a frozen GVT is exactly what [Gvt_stall]
+   watches for) and its GVT epochs into the time series: per epoch one
+   unlabeled point and one labeled point per reporting shard, so exported
+   trajectories stay one point per timestamp. *)
+let absorb_shards t ~registries ~samples =
+  Array.iteri
+    (fun i reg ->
+      if not (List.exists (fun (_, r) -> r == reg) t.shard_registries) then
+        t.shard_registries <- t.shard_registries @ [ (i, reg) ])
+    registries;
   Monitor.observe_shards t.mon samples;
-  (* Epochs are keyed at the exporter's timestamp resolution (virtual
-     microseconds): two float-distinct GVT readings that would render to
-     the same timestamp must collapse to one point, or the exposition
-     carries duplicate samples. *)
-  let epoch_key gvt = Printf.sprintf "%.0f" (gvt *. 1e6) in
-  let keep : (int * string, Monitor.shard_sample) Hashtbl.t = Hashtbl.create 64 in
-  let order = ref [] in
-  List.iter
-    (fun (s : Monitor.shard_sample) ->
-      let key = (s.sh_shard, epoch_key s.sh_gvt) in
-      if not (Hashtbl.mem keep key) then order := key :: !order;
-      Hashtbl.replace keep key s)
-    samples;
-  let rec_labeled i name time v =
-    Timeseries.record
-      (Timeseries.series t.ts ~labels:(shard_label i) name)
-      ~time v
+  let record ?labels name time v =
+    Timeseries.record (Timeseries.series t.ts ?labels name) ~time v
   in
-  (* Per-epoch aggregates (max lvt lead, total stragglers) in one pass. *)
-  let epoch : (string, (float * int) ref) Hashtbl.t = Hashtbl.create 64 in
-  Hashtbl.iter
-    (fun (_, ek) (s : Monitor.shard_sample) ->
-      let cell =
-        match Hashtbl.find_opt epoch ek with
-        | Some c -> c
-        | None ->
-            let c = ref (0.0, 0) in
-            Hashtbl.add epoch ek c;
-            c
-      in
-      let lag, n = !cell in
-      cell := (Float.max lag (s.sh_lvt -. s.sh_gvt), n + s.sh_stragglers))
-    keep;
-  let gvt_seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
   List.iter
-    (fun key ->
-      let s = Hashtbl.find keep key in
-      let i = s.sh_shard and time = s.sh_gvt in
-      rec_labeled i "hope_shard_lvt" time s.sh_lvt;
-      rec_labeled i "hope_shard_events" time (float_of_int s.sh_events);
-      rec_labeled i "hope_shard_stragglers" time
-        (float_of_int s.sh_stragglers);
-      rec_labeled i "hope_shard_wasted_events" time
-        (float_of_int s.sh_rolled);
-      rec_labeled i "hope_shard_rollback_depth" time
-        (float_of_int s.sh_rollback_depth);
-      rec_labeled i "hope_shard_annihilations" time
-        (float_of_int s.sh_annihilations);
-      rec_labeled i "hope_shard_full_spins" time
-        (float_of_int s.sh_full_spins);
-      rec_labeled i "hope_shard_mailbox_occupancy" time
-        (float_of_int s.sh_mailbox_occ);
-      rec_labeled i "hope_shard_mailbox_high_water" time
-        (float_of_int s.sh_mailbox_peak);
-      if not (Hashtbl.mem gvt_seen (epoch_key time)) then begin
-        Hashtbl.add gvt_seen (epoch_key time) ();
-        let lag, stragglers = !(Hashtbl.find epoch (epoch_key time)) in
-        Timeseries.record (Timeseries.series t.ts "hope_gvt") ~time time;
-        Timeseries.record (Timeseries.series t.ts "hope_gvt_lag") ~time lag;
-        Timeseries.record
-          (Timeseries.series t.ts "hope_shard_stragglers_total")
-          ~time (float_of_int stragglers)
-      end)
-    (List.rev !order)
+    (fun (ep : Monitor.epoch) ->
+      let time = ep.ep_gvt in
+      record "hope_gvt" time time;
+      record "hope_gvt_lag" time ep.ep_lag;
+      record "hope_shard_stragglers_total" time (float_of_int ep.ep_stragglers);
+      List.iter
+        (fun (s : Monitor.shard_sample) ->
+          let labels = shard_label s.sh_shard and time = s.sh_gvt in
+          let count name n = record ~labels name time (float_of_int n) in
+          record ~labels "hope_shard_lvt" time s.sh_lvt;
+          count "hope_shard_events" s.sh_events;
+          count "hope_shard_stragglers" s.sh_stragglers;
+          count "hope_shard_wasted_events" s.sh_rolled;
+          count "hope_shard_rollback_depth" s.sh_rollback_depth;
+          count "hope_shard_annihilations" s.sh_annihilations;
+          count "hope_shard_full_spins" s.sh_full_spins;
+          count "hope_shard_mailbox_occupancy" s.sh_mailbox_occ;
+          count "hope_shard_mailbox_high_water" s.sh_mailbox_peak)
+        ep.ep_shards)
+    (Monitor.epochs samples)
 
 let registry_instruments ?(labels = []) reg =
   List.map
@@ -284,8 +242,9 @@ let instruments t =
   let registry =
     match
       List.map
-        (fun e -> registry_instruments (Engine.metrics e))
-        (Option.to_list t.engine @ List.map snd t.shard_engines)
+        (fun reg -> registry_instruments reg)
+        (List.map Engine.metrics (Option.to_list t.engine)
+        @ List.map snd t.shard_registries)
     with
     | [] -> []
     | [ one ] -> one
@@ -294,11 +253,8 @@ let instruments t =
   (* Plus one labeled variant per shard registry, under shard="N". *)
   let labeled =
     List.concat_map
-      (fun (shard, e) ->
-        registry_instruments
-          ~labels:[ ("shard", string_of_int shard) ]
-          (Engine.metrics e))
-      t.shard_engines
+      (fun (shard, reg) -> registry_instruments ~labels:(shard_label shard) reg)
+      t.shard_registries
   in
   registry @ labeled
   @ List.map

@@ -76,24 +76,25 @@ val has_shards : t -> bool
 
 val absorb_shards :
   t ->
-  engines:Engine.t array ->
+  registries:Metrics.registry array ->
   samples:Hope_obs.Monitor.shard_sample list ->
   unit
 (** Post-run ingestion of a sharded run ([Shard.result]): registers each
-    per-domain engine's registry as a {e snapshot-only} source (index =
-    shard id; no sampler is hooked, the domain is done), so
-    {!instruments} emits each of its families twice — into the unlabeled
-    aggregate, where one family from several registries is merged
-    (counters and gauges summed, histogram count and sum combined) so it
-    appears once, and as a [shard="N"] labeled variant. Then feeds the
-    GVT-epoch samples to {!Hope_obs.Monitor.observe_shards} (arming the
-    parallel diagnostics), and records the labeled shard trajectories —
+    per-domain registry as a {e snapshot-only} source (index = shard id;
+    nothing is sampled, the domain is done), so {!instruments} emits each
+    of its families twice — into the unlabeled aggregate, where one
+    family from several registries is merged (counters and gauges
+    summed, histogram count and sum combined) so it appears once, and as
+    a [shard="N"] labeled variant. Then feeds every sample to
+    {!Hope_obs.Monitor.observe_shards} (arming the parallel diagnostics),
+    and records one point per GVT epoch of
+    {!Hope_obs.Monitor.epochs}, timestamped at the epoch's GVT: unlabeled
+    [hope_gvt], [hope_gvt_lag] (max shard lvt − GVT) and
+    [hope_shard_stragglers_total], plus, per reporting shard at its
+    newest sample's GVT, the labeled
     [hope_shard_lvt]/[_events]/[_stragglers]/[_wasted_events]/
     [_rollback_depth]/[_annihilations]/[_full_spins]/
-    [_mailbox_occupancy]/[_mailbox_high_water] per shard, plus unlabeled
-    [hope_gvt], [hope_gvt_lag] (max shard lvt − GVT) and
-    [hope_shard_stragglers_total] — one point per GVT epoch, timestamped
-    at the epoch's GVT. *)
+    [_mailbox_occupancy]/[_mailbox_high_water]. *)
 
 type pre_sample_handle
 

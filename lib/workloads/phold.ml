@@ -146,8 +146,8 @@ let shard_spec ?(grain = 0) p =
     dummy = { Job.job_id = -1; hop = -1 };
   }
 
-let run_parallel ?(domains = 1) ?(seed = 42) ?grain ?obs_shard p =
-  let r = Hope_shard.Shard.run ~domains ~seed ?obs_shard (shard_spec ?grain p) in
+let run_parallel ?(domains = 1) ?grain ?obs_shard p =
+  let r = Hope_shard.Shard.run ~domains ?obs_shard (shard_spec ?grain p) in
   ( {
       checksums = Array.map (fun (s : lp_state) -> s.checksum) r.Hope_shard.Shard.states;
       handled_total =

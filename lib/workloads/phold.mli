@@ -53,7 +53,6 @@ val shard_spec : ?grain:int -> params -> (lp_state, Job.t) Hope_shard.Shard.spec
 
 val run_parallel :
   ?domains:int ->
-  ?seed:int ->
   ?grain:int ->
   ?obs_shard:(int -> Hope_obs.Recorder.t option) ->
   params ->

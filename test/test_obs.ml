@@ -578,7 +578,40 @@ let test_monitor_shard_imbalance () =
   in
   Monitor.observe_shards h
     (List.concat [ balanced 1.0 1; balanced 2.0 2; balanced 3.0 3 ]);
-  Alcotest.(check int) "balanced run unflagged" 0 (List.length (shard_diags h))
+  Alcotest.(check int) "balanced run unflagged" 0 (List.length (shard_diags h));
+  (* two shards sampled at float-distinct GVTs inside one virtual
+     microsecond share one epoch, as in the export, so their skew counts *)
+  let split g k =
+    [
+      mk_sample ~gvt:g ~lvt:(g +. 0.5) ~events:(400 * k) 0;
+      mk_sample ~gvt:(g +. 2e-7) ~lvt:(g +. 0.1) ~events:(10 * k) 1;
+    ]
+  in
+  let u = Monitor.create () in
+  Monitor.observe_shards u (List.concat [ split 1.0 1; split 2.0 2; split 3.0 3 ]);
+  (match shard_diags u with
+  | [ Monitor.Shard_imbalance { fast = 0; slow = 1; epochs = 3; at; _ } ] ->
+    Alcotest.(check (float 1e-9)) "one epoch per microsecond" 3.0 at
+  | ds ->
+    Alcotest.failf "expected one sub-microsecond imbalance, got %d diags"
+      (List.length ds));
+  Alcotest.(check (float 1e-9)) "widest epoch lag" 0.5 (Monitor.gvt_lag u);
+  (* on a tie in events the first-seen shard is named *)
+  let t =
+    Monitor.create
+      ~config:{ Monitor.default_config with Monitor.imbalance_epochs = 1 }
+      ()
+  in
+  Monitor.observe_shards t
+    [
+      mk_sample ~gvt:1.0 ~lvt:1.5 ~events:400 0;
+      mk_sample ~gvt:1.0 ~lvt:1.1 ~events:10 1;
+      mk_sample ~gvt:1.0 ~lvt:1.5 ~events:400 2;
+      mk_sample ~gvt:1.0 ~lvt:1.1 ~events:10 3;
+    ];
+  match shard_diags t with
+  | [ Monitor.Shard_imbalance { fast = 0; slow = 1; _ } ] -> ()
+  | ds -> Alcotest.failf "expected shards 0 over 1, got %d diags" (List.length ds)
 
 let test_monitor_backpressure_and_storm () =
   let m = Monitor.create () in

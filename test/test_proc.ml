@@ -527,7 +527,6 @@ let qcheck_storage_oracle =
                 ~cause:(Scheduler.Message_cancelled msg_id));
           h_spawned = (fun _ -> ());
           h_spawn_child = (fun ~parent:_ ~child:_ -> None);
-          h_terminated = (fun _ -> ());
         };
       let m = Storage_oracle.create ~s_tag in
       let next_v = ref 0 in

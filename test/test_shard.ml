@@ -78,19 +78,20 @@ let test_mailbox_cross_domain () =
 let test_context_owner_and_streams () =
   Alcotest.(check int) "owner" 2 (Context.owner ~shards:4 6);
   Alcotest.(check int) "single shard owns all" 0 (Context.owner ~shards:1 6);
-  (* per-shard RNG streams: deterministic in (seed, shard_id), pairwise
-     distinct across shards *)
-  let stream shard_id =
-    let ctx = Context.make ~seed:7 ~shards:4 ~shard_id () in
-    List.init 8 (fun _ -> Rng.bits64 (Context.rng ctx))
+  (* per-shard RNG streams, as [Rng.split_n] children of one parent seed:
+     child [i] is deterministic in (seed, i) whatever the child count, and
+     the children are pairwise distinct *)
+  let stream ~children i =
+    let child = (Rng.split_n (Rng.create ~seed:7) children).(i) in
+    List.init 8 (fun _ -> Rng.bits64 child)
   in
-  let streams = List.init 4 stream in
+  let streams = List.init 4 (fun i -> stream ~children:(i + 1) i) in
   List.iteri
     (fun i si ->
       Alcotest.(check bool)
         (Printf.sprintf "shard %d stream reproducible" i)
         true
-        (si = stream i);
+        (si = stream ~children:4 i);
       List.iteri
         (fun j sj ->
           if i < j then
@@ -98,10 +99,7 @@ let test_context_owner_and_streams () =
               (Printf.sprintf "shards %d/%d streams differ" i j)
               true (si <> sj))
         streams)
-    streams;
-  Alcotest.check_raises "bad shard_id"
-    (Invalid_argument "Context.make: shard_id out of range") (fun () ->
-      ignore (Context.make ~shards:2 ~shard_id:2 ()))
+    streams
 
 (* ------------------------- Telemetry merge ------------------------ *)
 
@@ -125,7 +123,9 @@ let test_telemetry_multi_engine_install () =
   Alcotest.(check (list int)) "one live engine, counted once" [ 3 ] (fams live);
   (* a sharded run's registries merge into one unlabeled family *)
   let tele = Telemetry.create ~recorder:(Recorder.create ()) () in
-  Telemetry.absorb_shards tele ~engines:[| e1; e2 |] ~samples:[];
+  Telemetry.absorb_shards tele
+    ~registries:[| Engine.metrics e1; Engine.metrics e2 |]
+    ~samples:[];
   Alcotest.(check (list int)) "one merged family, summed" [ 7 ] (fams tele);
   (* the rendered exposition also carries the family exactly once *)
   let om = Telemetry.openmetrics tele in
@@ -141,6 +141,87 @@ let test_telemetry_multi_engine_install () =
   Alcotest.(check int) "one TYPE line" 1
     (occurrences "# TYPE shard_events_total counter");
   Alcotest.(check int) "one sample line" 1 (occurrences "shard_events_total 7")
+
+(* A hand-built sample list in the executor's (gvt, shard, events) order,
+   over three shards: shard 1 sampled twice at GVT 0.5, two float-distinct
+   GVTs inside virtual microsecond 1.200000 (first seen as shards 0, 2,
+   1), and an epoch at 2.0 that shard 1 does not report in. *)
+let epoch_samples =
+  let s shard gvt lvt events stragglers : Hope_obs.Monitor.shard_sample =
+    {
+      sh_shard = shard;
+      sh_gvt = gvt;
+      sh_lvt = lvt;
+      sh_events = events;
+      sh_stragglers = stragglers;
+      sh_rolled = 3 * stragglers;
+      sh_rollback_depth = stragglers;
+      sh_annihilations = events / 10;
+      sh_full_spins = shard;
+      sh_mailbox_occ = events mod 7;
+      sh_mailbox_peak = 4 + shard;
+    }
+  in
+  [
+    s 0 0.5 0.9 10 1;
+    s 1 0.5 0.7 12 0;
+    s 1 0.5 0.8 20 2;
+    s 2 0.5 0.6 8 0;
+    s 0 1.2000001 1.5 30 2;
+    s 2 1.2000001 1.4 25 1;
+    s 0 1.2000004 1.6 35 3;
+    s 1 1.2000004 1.3 40 2;
+    s 0 2.0 2.5 50 4;
+    s 2 2.0 1.9 45 1;
+    s 0 3.0 3.0 60 4;
+    s 1 3.0 3.25 70 5;
+    s 2 3.0 3.5 55 2;
+  ]
+
+let test_absorb_epoch_export_pinned () =
+  let registries =
+    Array.init 3 (fun i ->
+        let reg = Metrics.create_registry () in
+        Metrics.add (Metrics.counter reg "shard.events") (10 + i);
+        reg)
+  in
+  let tele = Telemetry.create ~recorder:(Recorder.create ()) () in
+  Telemetry.absorb_shards tele ~registries ~samples:epoch_samples;
+  Alcotest.(check string) "openmetrics digest"
+    "a8ab6e5c03fe4e1f841ab4c6353da7ed"
+    (Digest.to_hex (Digest.string (Telemetry.openmetrics tele)))
+
+let test_epoch_fold () =
+  let module M = Hope_obs.Monitor in
+  let eps = M.epochs epoch_samples in
+  (* one epoch per virtual microsecond: 1.2000001 and 1.2000004 share one *)
+  Alcotest.(check (list (float 0.0)))
+    "epoch GVTs" [ 0.5; 1.2000004; 2.0; 3.0 ]
+    (List.map (fun (e : M.epoch) -> e.ep_gvt) eps);
+  let shards (e : M.epoch) =
+    List.map (fun (s : M.shard_sample) -> (s.sh_shard, s.sh_events)) e.ep_shards
+  in
+  match eps with
+  | [ e05; e12; e20; e30 ] ->
+      (* shard 1's second sample at GVT 0.5 replaces its first *)
+      Alcotest.(check (list (pair int int)))
+        "newest sample per shard" [ (0, 10); (1, 20); (2, 8) ] (shards e05);
+      (* first seen as 0, 2, 1; shard 0's newest is its 1.2000004 sample *)
+      Alcotest.(check (list (pair int int)))
+        "shards in first-seen order" [ (0, 35); (2, 25); (1, 40) ] (shards e12);
+      Alcotest.(check (list (pair int int)))
+        "a shard absent from an epoch" [ (0, 50); (2, 45) ] (shards e20);
+      Alcotest.(check int) "stragglers summed" 6 e12.ep_stragglers;
+      Alcotest.(check (float 1e-12)) "lag of the newest samples" 0.3999996
+        e12.ep_lag;
+      Alcotest.(check (float 0.0)) "lag is the max lead" 0.5 e30.ep_lag;
+      Alcotest.(check (float 0.0)) "a shard behind GVT leads by nothing" 0.5
+        e20.ep_lag;
+      let behind = { (List.hd epoch_samples) with sh_gvt = 1.0; sh_lvt = 0.5 } in
+      Alcotest.(check (list (float 0.0)))
+        "lag clamps at 0" [ 0.0 ]
+        (List.map (fun (e : M.epoch) -> e.ep_lag) (M.epochs [ behind ]))
+  | _ -> Alcotest.fail "expected four epochs"
 
 (* ------------------------ Sharded executor ------------------------ *)
 
@@ -233,14 +314,16 @@ let shard_openmetrics ~domains =
   let tele = Telemetry.create ~recorder:obs () in
   let _, r = Phold.run_parallel ~domains small_params in
   Shard.merge_into obs r;
-  Telemetry.absorb_shards tele ~engines:r.Shard.engines ~samples:r.Shard.samples;
-  (Telemetry.openmetrics tele, r)
+  Telemetry.absorb_shards tele ~registries:r.Shard.registries
+    ~samples:r.Shard.samples;
+  (Telemetry.openmetrics tele, r, tele)
 
 let test_labeled_export_per_shard () =
-  let om, r = shard_openmetrics ~domains:4 in
+  let om, r, tele = shard_openmetrics ~domains:4 in
   Alcotest.(check bool) "telemetry knows it absorbed shards" true
-    (Telemetry.has_shards (Telemetry.create ~recorder:(Recorder.create ()) ())
-     = false);
+    (Telemetry.has_shards tele);
+  Alcotest.(check bool) "a fresh telemetry has absorbed none" false
+    (Telemetry.has_shards (Telemetry.create ~recorder:(Recorder.create ()) ()));
   (* every shard contributes a labeled entry under one family header *)
   Alcotest.(check int) "one events family" 1
     (count_substring "# TYPE shard_events_total counter" om);
@@ -266,8 +349,8 @@ let test_labeled_export_per_shard () =
 let test_labeled_export_deterministic () =
   (* domains = 1 runs the whole executor on the calling domain, so even
      the per-run side is reproducible — byte-identical export. *)
-  let om1, _ = shard_openmetrics ~domains:1 in
-  let om2, _ = shard_openmetrics ~domains:1 in
+  let om1, _, _ = shard_openmetrics ~domains:1 in
+  let om2, _, _ = shard_openmetrics ~domains:1 in
   Alcotest.(check string) "byte-identical at 1 domain" om1 om2
 
 (* ------------------- wasted-event attribution --------------------- *)
@@ -278,9 +361,8 @@ let qcheck_attribution_sums =
       "shard: wasted-event attribution sums to the executor's rolled-back \
        total at any domain count"
     ~count:12
-    QCheck.(
-      quad (int_range 1 6) (int_range 1 10) (int_range 0 100) small_int)
-    (fun (n_lps, jobs, remote_pct, seed) ->
+    QCheck.(triple (int_range 1 6) (int_range 1 10) (int_range 0 100))
+    (fun (n_lps, jobs, remote_pct) ->
       let p =
         {
           Phold.default_params with
@@ -292,18 +374,37 @@ let qcheck_attribution_sums =
       in
       List.for_all
         (fun domains ->
-          let _, r = Phold.run_parallel ~domains ~seed p in
-          let attributed =
-            List.fold_left (fun acc (_, n) -> acc + n) 0 r.Shard.wasted_by_root
+          (* each rollback's Shard_straggler event names its root and
+             how many events it undid; Analytics sums them per root *)
+          let stores =
+            Array.init domains (fun _ ->
+                let s = Recorder.create () in
+                Recorder.enable s;
+                s)
           in
+          let _, r =
+            Phold.run_parallel ~domains
+              ~obs_shard:(fun i -> Some stores.(i))
+              p
+          in
+          let a =
+            Hope_obs.Analytics.analyse
+              (List.concat_map Recorder.events (Array.to_list stores))
+          in
+          let by_root =
+            match a.Hope_obs.Analytics.shard with
+            | Some s -> s.Hope_obs.Analytics.shard_attribution
+            | None -> []
+          in
+          let attributed = List.fold_left (fun acc (_, n) -> acc + n) 0 by_root in
           (* every undone execution is attributed to exactly one root *)
           attributed = r.Shard.rolled_back
-          && List.for_all (fun (_, n) -> n > 0) r.Shard.wasted_by_root
+          && List.for_all (fun (_, n) -> n > 0) by_root
           (* roots identify real shards (or -1 for local/seed causes) *)
           && List.for_all
-               (fun ((pr : Shard.provenance), _) ->
-                 pr.Shard.p_shard >= -1 && pr.Shard.p_shard < domains)
-               r.Shard.wasted_by_root)
+               (fun ((root_shard, _, _), _) ->
+                 root_shard >= -1 && root_shard < domains)
+               by_root)
         [ 1; 2; 4 ])
 
 let qcheck_shard_deterministic =
@@ -312,9 +413,8 @@ let qcheck_shard_deterministic =
       "shard: random phold commits the sequential event set with an \
        identical merge at 2 and 4 domains"
     ~count:12
-    QCheck.(
-      quad (int_range 1 6) (int_range 1 10) (int_range 0 100) small_int)
-    (fun (n_lps, jobs, remote_pct, seed) ->
+    QCheck.(triple (int_range 1 6) (int_range 1 10) (int_range 0 100))
+    (fun (n_lps, jobs, remote_pct) ->
       let p =
         {
           Phold.default_params with
@@ -330,7 +430,7 @@ let qcheck_shard_deterministic =
           (fun domains ->
             let obs = Recorder.create () in
             Recorder.enable obs;
-            let o, r = Phold.run_parallel ~domains ~seed p in
+            let o, r = Phold.run_parallel ~domains p in
             Shard.merge_into obs r;
             (o, r, Obs.export_string Obs.Chrome (Recorder.events obs)))
           [ 1; 2; 4 ]
@@ -358,7 +458,14 @@ let () =
       ( "context",
         [ test "owner map and per-shard rng streams" test_context_owner_and_streams ] );
       ( "telemetry",
-        [ test "multi-engine install merges, idempotently" test_telemetry_multi_engine_install ] );
+        [
+          test "multi-engine install merges, idempotently"
+            test_telemetry_multi_engine_install;
+          test "absorb export over hand-built GVT epochs is pinned"
+            test_absorb_epoch_export_pinned;
+          test "GVT epochs: one per microsecond, newest sample per shard"
+            test_epoch_fold;
+        ] );
       ( "executor",
         [
           test "matches the sequential reference at 1/2/4 domains"
