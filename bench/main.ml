@@ -838,7 +838,79 @@ let tagging () =
       if card = 4096 then
         gate "tagging" "card=4096 alloc_words_per_op <= 512" (minor +. major) Gate.Le
           (float_of_int card /. 8.0))
-    [ 64; 4096 ]
+    [ 64; 4096 ];
+  (* One Algorithm-2 Replace. The interval depends on the sender and on
+     [in_ido] candidates, and its UDO already holds [in_udo] others; the
+     candidates sit at every other index, alternating UDO and IDO, and
+     one fresh candidate follows them. The replacement set holds them all
+     ([cands = in_udo + in_ido + 1]), or only the fresh one ([cands = 1]:
+     the set edits every Replace pays, without the candidates).
+     phold-hope's shape is 108 candidates, 54 in the UDO and 53 in the
+     IDO (at seed 42 a Replace that finds its sender averages 104
+     candidates, 54 cuts and 50 already-dependent ones). An op restores
+     the interval's IDO and UDO, then handles the Replace, so every op
+     sees the same interval; a Replace allocates only minor words at
+     these sizes. The cut count must cost by the word, not by the
+     candidate. *)
+  let replace_sample ~cands ~in_udo ~in_ido ~ops =
+    let cand k = aid (2 * k) and sender = aid 1 in
+    let udo = List.init in_udo (fun j -> cand (2 * j))
+    and ido = List.init in_ido (fun j -> cand ((2 * j) + 1)) in
+    let hist = History.create (Proc_id.of_int 0) in
+    let ido0 = Aid.Set.of_list (sender :: ido) and udo0 = Aid.Set.of_list udo in
+    let itv = History.push hist ~kind:History.Explicit ~ido:ido0 ~now:0.0 in
+    itv.History.udo <- udo0;
+    let replacement =
+      if cands = 1 then Aid.Set.singleton (cand (in_udo + in_ido))
+      else Aid.Set.of_list (List.init cands cand)
+    in
+    let target = itv.History.iid and cuts = ref 0 in
+    let on_cycle_cuts _ n = cuts := n in
+    let replace () =
+      itv.History.ido <- ido0;
+      itv.History.udo <- udo0;
+      ignore
+        (Control.handle_replace Control.Algorithm_2 hist ~target ~sender
+           ~ido:replacement ~on_cycle_cuts
+          : Control.action list)
+    in
+    replace ();
+    let expect = if cands = 1 then 0 else in_udo in
+    if !cuts <> expect then
+      failwith (Printf.sprintf "tagging bench: %d cuts, expected %d" !cuts expect);
+    let ns, minor, _ =
+      per_op ops (fun () ->
+          for _ = 1 to ops do
+            replace ()
+          done)
+    in
+    (ns, minor)
+  in
+  Printf.printf "\n%-6s %-26s %12s %18s\n" "cands" "Algorithm-2 Replace" "ns/replace"
+    "minor words/replace";
+  let ns_at =
+    List.map
+      (fun (cands, in_udo, in_ido, ops) ->
+        let samples = List.init 7 (fun _ -> replace_sample ~cands ~in_udo ~in_ido ~ops) in
+        let ns = median (List.map fst samples) and minor = median (List.map snd samples) in
+        Printf.printf "%-6d %-26s %12.1f %18.1f\n" cands
+          (Printf.sprintf "udo=%d ido=%d" in_udo in_ido)
+          ns minor;
+        row "tagging"
+          ~key:
+            [
+              jint "cands" cands;
+              jint "in_udo" in_udo;
+              jint "in_ido" in_ido;
+              jstr "impl" "replace";
+            ]
+          [ jfloat "ns_per_replace" ns; jfloat "minor_words_per_replace" minor ];
+        (cands, ns))
+      [ (108, 54, 53, 4096); (4096, 2048, 2047, 256); (1, 2048, 2047, 256) ]
+  in
+  gate "tagging" "cands=4096 ns_per_replace <= 3 * cands=1 ns_per_replace"
+    (List.assoc 4096 ns_at) Gate.Le
+    (3.0 *. List.assoc 1 ns_at)
 
 (* --------------------------------------------------------------- *)
 (* EVENTS: the event-queue spine itself — the seed's boxed binary    *)

@@ -25,7 +25,8 @@ let cascade_finalize hist =
   in
   loop []
 
-let handle_replace ?emit ?cut algorithm hist ~target ~sender ~ido ~on_cycle_cut =
+let handle_replace ?emit ?cut ?on_cut_aid algorithm hist ~target ~sender ~ido
+    ~on_cycle_cuts =
   match History.find hist target with
   | None -> []  (* stale: the interval was rolled back or finalized *)
   | Some itv ->
@@ -47,51 +48,59 @@ let handle_replace ?emit ?cut algorithm hist ~target ~sender ~ido ~on_cycle_cut 
                remaining = Aid.Set.cardinal itv.History.ido;
              })
       | None -> ());
-      (match algorithm with
-      | Algorithm_1 -> ()
-      | Algorithm_2 -> itv.History.udo <- Aid.Set.add sender itv.History.udo);
-      let cycle_cut y =
-        itv.History.cut <- true;
-        on_cycle_cut target y
+      (* Figure 15: a replacement already in the UDO is an AID we walked
+         through — a dependency cycle — and is discarded. Algorithm 1 has
+         no UDO to check. *)
+      let udo =
+        match algorithm with
+        | Algorithm_1 -> Aid.Set.empty
+        | Algorithm_2 ->
+          itv.History.udo <- Aid.Set.add sender itv.History.udo;
+          itv.History.udo
       in
-      (* One ascending walk over the replacement set: each candidate is cut,
-         already a dependency, or fresh. The fresh ones (collected newest
-         first) join the IDO in one union after the walk, which no
-         candidate's test can observe: the candidates are distinct. *)
+      (* The governor's actuator rules on every candidate the UDO check let
+         through, already-dependent ones included, in ascending order: a
+         dynamic, churn-driven cut, Figure 15's resolution applied by
+         observed orbits instead of by the static walk-through set.
+         Without a governor the fold visits only the fresh candidates. *)
+      let forced = ref [] in
       let fresh =
-        Aid.Set.fold
+        Aid.Set.fold_diff
           (fun y acc ->
-            let in_udo =
-              match algorithm with
-              | Algorithm_1 -> false
-              | Algorithm_2 -> Aid.Set.mem y itv.History.udo
-            in
-            if in_udo then begin
-              (* Figure 15: the replacement is an AID we already walked
-                 through — a dependency cycle. Discard it. *)
-              cycle_cut y;
-              acc
-            end
-            else if
-              (* Governor actuator: a dynamic, churn-driven cut. The
-                 predicate sees every replacement candidate and may rule
-                 it a cycle on orbit-count evidence even when the UDO
-                 check (or Algorithm 1's absence of one) would not —
-                 Figure 15's resolution applied by observed churn instead
-                 of by the static walk-through set. *)
+            if
               match cut with
               | None -> false
               | Some f -> f ~target ~sender ~candidate:y
             then begin
-              cycle_cut y;
+              forced := y :: !forced;
               acc
             end
             else if Aid.Set.mem y itv.History.ido then
               (* Already dependent (and already registered in y's DOM). *)
               acc
             else y :: acc)
-          ido []
+          ido udo
+          (match cut with None -> itv.History.ido | Some _ -> Aid.Set.empty)
+          []
       in
+      let cuts = Aid.Set.inter_cardinal ido udo + List.length !forced in
+      if cuts > 0 then begin
+        itv.History.cut <- true;
+        (match on_cut_aid with
+        | None -> ()
+        | Some f ->
+          (* The UDO cuts and the forced ones together, ascending. *)
+          let forced = !forced in
+          Aid.Set.iter
+            (fun y ->
+              if Aid.Set.mem y udo || List.exists (Aid.equal y) forced then
+                f target y)
+            ido);
+        on_cycle_cuts target cuts
+      end;
+      (* The fresh candidates (collected newest first) join the IDO in one
+         union after the fold, which no candidate's test can observe: the
+         candidates are distinct. *)
       match fresh with
       | [] -> cascade_finalize hist
       | _ ->

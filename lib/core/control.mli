@@ -45,31 +45,42 @@ type action =
 val handle_replace :
   ?emit:(Hope_obs.Event.payload -> unit) ->
   ?cut:(target:Interval_id.t -> sender:Aid.t -> candidate:Aid.t -> bool) ->
+  ?on_cut_aid:(Interval_id.t -> Aid.t -> unit) ->
   algorithm ->
   History.t ->
   target:Interval_id.t ->
   sender:Aid.t ->
   ido:Aid.Set.t ->
-  on_cycle_cut:(Interval_id.t -> Aid.t -> unit) ->
+  on_cycle_cuts:(Interval_id.t -> int -> unit) ->
   action list
 (** Apply a [<Replace, target, ido>] from AID [sender]. Stale messages
     (the target interval is no longer live, or the sender is not among its
-    dependencies) are ignored. The replacement set is walked once, in
-    ascending AID order, and every candidate the walk discards is reported
-    as it is discarded: [on_cycle_cut target aid], so cuts arrive in
-    ascending order, after the interval's {!History.interval.cut} flag is
-    set. [target] is passed back so the caller can use one long-lived
-    callback instead of closing over the interval per message. Under Algorithm 2 a candidate
-    in the interval's UDO is cut. [cut], when given, is consulted for
-    every candidate the UDO check let through (under either algorithm),
-    in the same ascending order: returning [true] discards the candidate
-    through the same [on_cycle_cut] path — this is the governor's dynamic
-    cycle-cut actuator, which rules on observed Replace-orbit churn
-    instead of the static walk-through set. The remaining candidates the
-    interval does not yet depend on join its IDO in one union after the
-    walk, and one {!Send_guess} per such AID leads the returned actions,
-    in ascending order. [emit],
-    when given, observes the dependency resolution as a
+    dependencies) are ignored.
+
+    Under Algorithm 2 a candidate in the interval's UDO (which by then
+    holds [sender]) is cut: Figure 15's cycle check, counted as
+    [Aid.Set.inter_cardinal ido udo] without visiting the candidates.
+    [cut], when given, is consulted for every candidate the UDO check let
+    through (under either algorithm), already-dependent ones included, in
+    ascending AID order: returning [true] cuts the candidate too. This is
+    the governor's dynamic cycle-cut actuator, which rules on observed
+    Replace-orbit churn instead of the static walk-through set. The
+    remaining candidates the interval does not yet depend on join its IDO
+    in one union, and one {!Send_guess} per such AID leads the returned
+    actions, in ascending order. Without [cut], only those fresh
+    candidates are visited ([Aid.Set.fold_diff]).
+
+    A Replace that cuts anything sets the interval's
+    {!History.interval.cut} flag, then calls [on_cut_aid target aid] (when
+    given) once per cut AID, the UDO cuts and the [cut] ones together in
+    ascending order, then [on_cycle_cuts target n] once with the number
+    [n >= 1] of candidates it cut. A Replace that cuts nothing calls
+    neither. Pass [on_cut_aid] only when something consumes the per-AID
+    cuts (a trace recorder): it is the one part of a Replace that walks
+    every candidate. [target] is passed back so the caller can use one
+    long-lived callback instead of closing over the interval per message.
+
+    [emit], when given, observes the dependency resolution as a
     {!Hope_obs.Event.Dep_resolved} whose [remaining] counts the IDO
     entries left after removing [sender] (before any replacement AIDs are
     added); omit it to skip building the payload at all — this is the

@@ -130,9 +130,12 @@ type t = {
   definite_iids : (Proc_id.t, Interval_id.t) Hashtbl.t;
       (* per-process definite interval id (seq = -1), cached so definite
          affirms/denies do not rebuild the same record every time *)
-  mutable cycle_cut : Interval_id.t -> Aid.t -> unit;
-      (* the one [Control.handle_replace ~on_cycle_cut] callback, built at
-         [install] — Replace handling is per-message hot *)
+  count_cuts : Interval_id.t -> int -> unit;
+      (* the one [Control.handle_replace ~on_cycle_cuts] callback: Replace
+         handling is per-message hot *)
+  mutable cut_event : (Interval_id.t -> Aid.t -> unit) option;
+      (* the one [Control.handle_replace ?on_cut_aid] callback, built at
+         [install] and passed while the recorder is on *)
   mutable aid_reply : Aid.t -> Interval_id.t -> Wire.t -> unit;
       (* the one [Aid_machine.handle_into ~reply] callback, shared by all
          AID actors — one control message in can mean several out *)
@@ -543,8 +546,10 @@ let on_control t ~self ~src wire =
         ?emit:
           (if obs_dep_on t then Some (fun payload -> emit t ~proc:self payload)
            else None)
-        ?cut:t.gov_cut t.cfg.algorithm hist ~target:iid ~sender:src_aid ~ido
-        ~on_cycle_cut:t.cycle_cut
+        ?cut:t.gov_cut
+        ?on_cut_aid:(if obs_on t then t.cut_event else None)
+        t.cfg.algorithm hist ~target:iid ~sender:src_aid ~ido
+        ~on_cycle_cuts:t.count_cuts
     | Wire.Rollback { iid } ->
       learn_false t self src_aid;
       Control.handle_rollback hist ~target:iid ~denied:src_aid
@@ -608,7 +613,8 @@ let install sched ?(config = default_config) () =
       known_true = Hashtbl.create 64;
       known_false = Hashtbl.create 64;
       definite_iids = Hashtbl.create 64;
-      cycle_cut = (fun _ _ -> ());
+      count_cuts = (fun _ n -> Metrics.add rm.c_cycle_cuts n);
+      cut_event = None;
       aid_reply = (fun _ _ _ -> ());
       aid_transition = (fun _ _ _ -> ());
       gov = None;
@@ -629,12 +635,11 @@ let install sched ?(config = default_config) () =
           (Hope_obs.Event.Aid_transition
              { aid; from_ = obs_state from_; to_ = obs_state to_ }));
   (* An interval id's owner is the process whose history holds it, so the
-     cycle-cut callback recovers the acting process from [iid] — one
+     per-AID cut callback recovers the acting process from [iid] — one
      closure for the runtime's lifetime instead of one per Replace. *)
-  t.cycle_cut <-
-    (fun iid aid ->
-      Metrics.incr t.rm.c_cycle_cuts;
-      if obs_on t then
+  t.cut_event <-
+    Some
+      (fun iid aid ->
         emit t ~proc:(Interval_id.owner iid) (Hope_obs.Event.Cycle_cut { iid; aid }));
   let hooks =
     {

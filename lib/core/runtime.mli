@@ -76,9 +76,11 @@ type governor = {
           return [false] immediately (the program's pessimistic branch)
           with no interval or AID registration *)
   cut_replace : target:Interval_id.t -> sender:Aid.t -> candidate:Aid.t -> bool;
-      (** consulted on every Replace replacement candidate; [true]
-          discards the candidate as a cycle cut (Figure 15's resolution,
-          driven by churn evidence instead of the static UDO walk) *)
+      (** consulted on every Replace replacement candidate that
+          Algorithm 2's UDO check lets through, in ascending order;
+          [true] discards the candidate as a cycle cut (Figure 15's
+          resolution, driven by churn evidence instead of the static UDO
+          walk) *)
   send_delay : Proc_id.t -> depth:int -> float;
       (** extra virtual-time cost for a user send while the sender holds
           [depth] live speculative intervals — back-pressure that bounds

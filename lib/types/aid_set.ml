@@ -39,6 +39,8 @@ module type S = sig
   val union : t -> t -> t
   val inter : t -> t -> t
   val diff : t -> t -> t
+  val inter_cardinal : t -> t -> int
+  val fold_diff : (elt -> 'acc -> 'acc) -> t -> t -> t -> 'acc -> 'acc
   val disjoint : t -> t -> bool
   val subset : t -> t -> bool
   val equal : t -> t -> bool
@@ -105,21 +107,22 @@ module Make (E : ELT) = struct
         ((off * 7919) + 17)
         words
 
-  let popcount w0 =
-    let rec go w n = if w = 0 then n else go (w land (w - 1)) (n + 1) in
-    go w0 0
-
-  (* Trailing zeros of a one-bit word: the population count of the ones
-     below its bit. [b - 1] < 2^62, so the 64-bit SWAR masks fit an OCaml
-     int, and the byte sum (at most 62) fits the product's top byte. *)
-  let ctz_bit b =
-    let x = b - 1 in
-    let x = x - ((x lsr 1) land 0x1555_5555_5555_5555) in
+  (* Population count of a 63-bit word, a word at a time (SWAR): the bits
+     are summed in pairs, then nibbles, then bytes, and one multiply
+     gathers the byte sums into the top byte. [lsr] moves bit 62 (the sign
+     bit) like any other, the 64-bit masks keep their low 63 bits, and the
+     sum (at most 63) fits the top byte's 7 bits. *)
+  let popcount x =
+    let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
     let x =
       (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
     in
     let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
     (x * 0x0101_0101_0101_0101) lsr 56
+
+  (* Trailing zeros of a one-bit word: the population count of the ones
+     below its bit. *)
+  let ctz_bit b = popcount (b - 1)
 
   (* Fold [f] over the member indices of a bitset, ascending. Each word is
      walked by its set bits, lowest first, instead of testing all 63
@@ -434,6 +437,73 @@ module Make (E : ELT) = struct
           sa;
         of_sorted_unique (Array.sub out 0 !k)
 
+  (* How many members of the sorted array [x] lie in [t]. *)
+  let count_mem x t =
+    let n = ref 0 in
+    for i = 0 to Array.length x - 1 do
+      if mem_idx x.(i) t then incr n
+    done;
+    !n
+
+  let inter_cardinal a b =
+    if a.card = 0 || b.card = 0 then 0
+    else if a == b then a.card
+    else
+      match (a.repr, b.repr) with
+      | Bits { off = o1; words = w1 }, Bits { off = o2; words = w2 } ->
+        let n = ref 0 in
+        for i = max o1 o2 to min (o1 + Array.length w1) (o2 + Array.length w2) - 1 do
+          n := !n + popcount (w1.(i - o1) land w2.(i - o2))
+        done;
+        !n
+      | Arr x, _ -> count_mem x b
+      | Bits _, Arr y -> count_mem y a
+
+  (* The members of [t] among the indices [base .. base + 62], as a word.
+     An array is searched for its first index at or above [base]. *)
+  let word_at t base =
+    match t.repr with
+    | Bits { off; words } ->
+      let w = (base / bits_per_word) - off in
+      if w >= 0 && w < Array.length words then words.(w) else 0
+    | Arr a ->
+      let n = Array.length a in
+      let lo = ref 0 and hi = ref n in
+      while !lo < !hi do
+        let mid = (!lo + !hi) / 2 in
+        if a.(mid) < base then lo := mid + 1 else hi := mid
+      done;
+      let m = ref 0 and i = ref !lo in
+      while !i < n && a.(!i) < base + bits_per_word do
+        m := !m lor (1 lsl (a.(!i) - base));
+        incr i
+      done;
+      !m
+
+  let fold_diff f a b c acc =
+    match a.repr with
+    | Arr x ->
+      let acc = ref acc in
+      for i = 0 to Array.length x - 1 do
+        let v = x.(i) in
+        if not (mem_idx v b || mem_idx v c) then acc := f (E.of_index v) !acc
+      done;
+      !acc
+    | Bits { off; words } ->
+      let acc = ref acc in
+      for wi = 0 to Array.length words - 1 do
+        let base = (off + wi) * bits_per_word in
+        let w =
+          ref (words.(wi) land lnot (word_at b base) land lnot (word_at c base))
+        in
+        while !w <> 0 do
+          let low = !w land - !w in
+          acc := f (E.of_index (base + ctz_bit low)) !acc;
+          w := !w lxor low
+        done
+      done;
+      !acc
+
   let disjoint a b =
     if a.card = 0 || b.card = 0 then true
     else if a == b then false
@@ -556,8 +626,6 @@ module Make (E : ELT) = struct
       done;
       of_sorted_unique (if !k = n then a else Array.sub a 0 !k)
 
-  (* One closure between the caller's function and the word loop: Replace
-     handling walks every replacement set with [fold]. *)
   let fold f t acc =
     match t.repr with
     | Arr a -> Array.fold_left (fun acc i -> f (E.of_index i) acc) acc a

@@ -23,8 +23,10 @@
     - {b word-level edits}: adding or removing one element of a bitset
       copies its word array once and flips one bit — Replace handling
       (Figure 15) edits IDO and UDO sets one AID at a time;
-    - {b allocation-free queries}: [mem], [disjoint], and [subset] walk
-      arrays or words without allocating.
+    - {b allocation-free queries}: [mem], [disjoint], [subset],
+      [inter_cardinal] and [fold_diff] walk arrays or words without
+      allocating; Replace handling (Figure 15) counts its cycle cuts and
+      finds its fresh candidates this way, by the word.
 
     Iteration order is ascending element order (the element's [compare]),
     exactly matching the [Set.Make] modules this replaces, so behaviour —
@@ -80,6 +82,24 @@ module type S = sig
 
   val inter : t -> t -> t
   val diff : t -> t -> t
+
+  val inter_cardinal : t -> t -> int
+  (** [inter_cardinal a b] is [cardinal (inter a b)], computed without
+      building the intersection: allocates nothing. Two bitsets cost one
+      AND and one word-at-a-time (SWAR) popcount per word where their
+      spans overlap; an array against either layout costs one membership
+      test per array element (a binary search, or one bit test against a
+      bitset). *)
+
+  val fold_diff : (elt -> 'acc -> 'acc) -> t -> t -> t -> 'acc -> 'acc
+  (** [fold_diff f a b c acc] folds [f] over the members of [a] that are in
+      neither [b] nor [c], in ascending order, without building
+      [diff a (union b c)]: it allocates nothing beyond what [f] does. On
+      the bitset layout each word of [a] is masked by the matching words
+      of [b] and [c] (an array's word is gathered by one binary search),
+      and [f] sees only the bits that survive: O(span(a) / 63) words plus
+      one call per visited member. On the array layout, two membership
+      tests per member of [a]. *)
 
   val disjoint : t -> t -> bool
   (** Allocation-free. *)

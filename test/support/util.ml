@@ -67,4 +67,42 @@ let recorder () =
 
 let aid_state_name w aid = Hope_core.Aid_machine.state_name (Runtime.aid_state w.rt aid)
 
+(** The digest of a run's full [--explain] report: every interval's id,
+    start time, kind, dependencies at creation, fate and cut flag. *)
+let explain_digest rt =
+  Digest.to_hex
+    (Digest.string
+       (Format.asprintf "%a" Hope_core.Explain.pp (Hope_core.Explain.of_runtime rt)))
+
+type cut_stream = {
+  observe : Hope_obs.Recorder.tap;
+      (** the tap body: folds each [Cycle_cut], ignores every other event *)
+  cuts : unit -> int;  (** the cuts folded so far *)
+  digest : unit -> string;  (** the order-sensitive digest of those cuts *)
+}
+
+(** An order-sensitive digest of a run's [Cycle_cut] [(iid, aid)] stream,
+    folded as the events are emitted: a long PHOLD run cuts over a million
+    times, too many events to store. Each cut appends its interval id and
+    AID to a buffer, which is chained into an MD5 every 64 KiB. *)
+let cut_stream () =
+  let buf = Buffer.create 65_536 and chained = ref "" and n = ref 0 in
+  let observe ~time:_ ~proc:_ = function
+    | Hope_obs.Event.Cycle_cut { iid; aid } ->
+      incr n;
+      Printf.bprintf buf "%s:%d;" (Hope_types.Interval_id.to_string iid)
+        (Hope_types.Aid.index aid);
+      if Buffer.length buf >= 65_536 then begin
+        chained := Digest.string (!chained ^ Buffer.contents buf);
+        Buffer.clear buf
+      end
+    | _ -> ()
+  in
+  {
+    observe;
+    cuts = (fun () -> !n);
+    digest =
+      (fun () -> Digest.to_hex (Digest.string (!chained ^ Buffer.contents buf)));
+  }
+
 let test name f = Alcotest.test_case name `Quick f

@@ -15,15 +15,33 @@ let aids l = Aid.Set.of_list (List.map aid l)
 
 let push h ido = History.push h ~kind:History.Explicit ~ido:(aids ido) ~now:0.0
 
-let no_cut _ _ = Alcotest.fail "unexpected cycle cut"
+(* A Replace's two cut callbacks: one call per cut AID, then the count. *)
+type cut_report = {
+  on_cut_aid : Interval_id.t -> Aid.t -> unit;
+  on_cycle_cuts : Interval_id.t -> int -> unit;
+}
 
-(* Records each cut's AID number, newest first. *)
-let count_cuts cuts _iid a = cuts := num a :: !cuts
+let no_cut =
+  let fail _ _ = Alcotest.fail "unexpected cycle cut" in
+  { on_cut_aid = fail; on_cycle_cuts = fail }
+
+(* Records each cut's AID number, newest first; the count a Replace
+   reports must be the number of AIDs it reported. *)
+let count_cuts cuts =
+  let reported = ref (List.length !cuts) in
+  {
+    on_cut_aid = (fun _iid a -> cuts := num a :: !cuts);
+    on_cycle_cuts =
+      (fun _iid n ->
+        Alcotest.(check int) "cut count" (List.length !cuts - !reported) n;
+        reported := List.length !cuts);
+  }
 
 let replace ?(algorithm = Control.Algorithm_2) ?cut ?(on_cycle_cut = no_cut) h
     ~target ~sender ~ido =
-  Control.handle_replace ?cut algorithm h ~target ~sender:(aid sender)
-    ~ido:(aids ido) ~on_cycle_cut
+  Control.handle_replace ?cut ~on_cut_aid:on_cycle_cut.on_cut_aid algorithm h
+    ~target ~sender:(aid sender) ~ido:(aids ido)
+    ~on_cycle_cuts:on_cycle_cut.on_cycle_cuts
 
 let guesses actions =
   List.filter_map
@@ -337,6 +355,187 @@ let qcheck_control_robust =
       in
       seqs = List.sort compare seqs)
 
+(* ------------------- Replace against the old walk ------------------ *)
+
+(* The reference model: Replace as one walk over the replacement set, one
+   candidate at a time in ascending order, each tested against the UDO
+   (Algorithm 2), then the governor's predicate, then the IDO, and each
+   cut reported as it is found. [Control.handle_replace] counts the UDO
+   cuts by the word and visits only the candidates the UDO check lets
+   through; the two must act alike. *)
+let walk_finalize hist =
+  let rec loop acc =
+    match History.drop_oldest_finalized hist with
+    | Some itv -> loop (Control.Finalized itv :: acc)
+    | None -> List.rev acc
+  in
+  loop []
+
+let walk_replace ?cut algorithm hist ~target ~sender ~ido ~on_cycle_cut =
+  match History.find hist target with
+  | None -> []
+  | Some itv ->
+    if not (Aid.Set.mem sender itv.History.ido) then []
+    else begin
+      itv.History.ido <- Aid.Set.remove sender itv.History.ido;
+      (match algorithm with
+      | Control.Algorithm_1 -> ()
+      | Control.Algorithm_2 -> itv.History.udo <- Aid.Set.add sender itv.History.udo);
+      let cycle_cut y =
+        itv.History.cut <- true;
+        on_cycle_cut target y
+      in
+      let fresh =
+        Aid.Set.fold
+          (fun y acc ->
+            let in_udo =
+              match algorithm with
+              | Control.Algorithm_1 -> false
+              | Control.Algorithm_2 -> Aid.Set.mem y itv.History.udo
+            in
+            if in_udo then begin
+              cycle_cut y;
+              acc
+            end
+            else if
+              match cut with None -> false | Some f -> f ~target ~sender ~candidate:y
+            then begin
+              cycle_cut y;
+              acc
+            end
+            else if Aid.Set.mem y itv.History.ido then acc
+            else y :: acc)
+          ido []
+      in
+      match fresh with
+      | [] -> walk_finalize hist
+      | _ ->
+        itv.History.ido <- Aid.Set.union itv.History.ido (Aid.Set.of_list fresh);
+        List.rev_map (fun aid -> Control.Send_guess { aid; iid = target }) fresh
+        @ walk_finalize hist
+    end
+
+let idx_aid i = Aid.of_proc (Proc_id.of_int i)
+
+(* A deterministic stand-in for the governor's predicate that logs every
+   call, so the twins' call sequences can be compared. *)
+let logging_cut log ~target ~sender ~candidate =
+  log := (target, Aid.index sender, Aid.index candidate) :: !log;
+  (Interval_id.seq target + (3 * Aid.index sender) + Aid.index candidate) mod 5 = 0
+
+let action_key = function
+  | Control.Send_guess { aid; iid } ->
+    Printf.sprintf "guess %d %s" (Aid.index aid) (Interval_id.to_string iid)
+  | Control.Finalized itv -> "final " ^ Interval_id.to_string itv.History.iid
+  | Control.Rolled_back { target; _ } ->
+    "rolled " ^ Interval_id.to_string target.History.iid
+
+let same_interval a b =
+  Interval_id.equal a.History.iid b.History.iid
+  && Aid.Set.equal a.History.ido b.History.ido
+  && Aid.Set.equal a.History.udo b.History.udo
+  && a.History.cut = b.History.cut
+  && a.History.fate = b.History.fate
+
+(* AID indices run over 0-300, so the sets take both layouts (arrays up
+   to 32 members, bitsets beyond) and span five 63-bit words, bit 62 of
+   each word included. A Replace names its target and sender by position
+   (the sender among the target's IDO, or any AID when [stale]); three in
+   four go to the oldest live interval, whose UDO grows past 32 members
+   in the longer runs. A Replace mixes members of the target's UDO into
+   its replacement set so that Algorithm 2 has cycles to cut. [report]
+   passes [on_cut_aid]. *)
+let twin_op_gen =
+  let open QCheck.Gen in
+  let idx = int_bound 300 in
+  frequency
+    [
+      (1, map (fun l -> `Push l) (list_size (int_range 1 100) idx));
+      ( 12,
+        let* target = small_nat in
+        let* sender = small_nat in
+        let* stale = frequencyl [ (9, false); (1, true) ] in
+        let* fresh = list_size (int_bound 120) idx in
+        let* from_udo = list_size (int_bound 40) small_nat in
+        let* report = bool in
+        return (`Replace (target, sender, stale, fresh, from_udo, report)) );
+    ]
+
+let nth_elt s k = List.nth (Aid.Set.elements s) (k mod Aid.Set.cardinal s)
+
+let twins_agree algorithm governed ops =
+  let hn = History.create owner and hr = History.create owner in
+  let log_n = ref [] and log_r = ref [] in
+  let cut_n = if governed then Some (logging_cut log_n) else None in
+  let cut_r = if governed then Some (logging_cut log_r) else None in
+  List.for_all
+    (fun op ->
+      match op with
+      | `Push l ->
+        let ido = Aid.Set.of_list (List.map idx_aid l) in
+        ignore (History.push hn ~kind:History.Explicit ~ido ~now:0.0);
+        ignore (History.push hr ~kind:History.Explicit ~ido ~now:0.0);
+        true
+      | `Replace (t, s, stale, fresh, from_udo, report) -> (
+        match History.live hr with
+        | [] -> true
+        | live ->
+          let itv =
+            List.nth live (if t mod 4 = 0 then t / 4 mod List.length live else 0)
+          in
+          let target = itv.History.iid in
+          let sender =
+            if stale || Aid.Set.is_empty itv.History.ido then idx_aid (s mod 301)
+            else nth_elt itv.History.ido s
+          in
+          let ido =
+            Aid.Set.of_list
+              (List.map idx_aid fresh
+              @
+              if Aid.Set.is_empty itv.History.udo then []
+              else List.map (nth_elt itv.History.udo) from_udo)
+          in
+          log_n := [];
+          log_r := [];
+          let aids_n = ref [] and count_n = ref 0 and calls_n = ref 0 in
+          let on_cut_aid =
+            if report then Some (fun _ y -> aids_n := Aid.index y :: !aids_n) else None
+          in
+          let acts_n =
+            Control.handle_replace ?cut:cut_n ?on_cut_aid algorithm hn ~target ~sender
+              ~ido ~on_cycle_cuts:(fun _ n ->
+                incr calls_n;
+                count_n := !count_n + n)
+          in
+          let aids_r = ref [] in
+          let acts_r =
+            walk_replace ?cut:cut_r algorithm hr ~target ~sender ~ido
+              ~on_cycle_cut:(fun _ y -> aids_r := Aid.index y :: !aids_r)
+          in
+          List.map action_key acts_n = List.map action_key acts_r
+          && !count_n = List.length !aids_r
+          && !calls_n = (if !aids_r = [] then 0 else 1)
+          && ((not report) || !aids_n = !aids_r)
+          && !log_n = !log_r
+          && List.equal same_interval (History.intervals hn) (History.intervals hr)))
+    ops
+
+let qcheck_replace_matches_walk =
+  let open QCheck in
+  Test.make ~name:"control: word-level Replace matches the per-candidate walk"
+    ~count:100
+    (make ~print:(fun ops -> string_of_int (List.length ops) ^ " ops")
+       (Gen.list_size (Gen.int_range 1 200) twin_op_gen))
+    (fun ops ->
+      List.for_all
+        (fun (algorithm, governed) -> twins_agree algorithm governed ops)
+        [
+          (Control.Algorithm_1, false);
+          (Control.Algorithm_1, true);
+          (Control.Algorithm_2, false);
+          (Control.Algorithm_2, true);
+        ])
+
 let () =
   Alcotest.run "control"
     [
@@ -357,6 +556,7 @@ let () =
           test "Algorithm 1 bounces" test_algorithm_1_no_udo_no_cut;
           test "self-cycle cut" test_self_cycle_cut;
           test "cuts ascending, first flagged once" test_cuts_ascending_first_once;
+          QCheck_alcotest.to_alcotest qcheck_replace_matches_walk;
         ] );
       ( "rebind",
         [

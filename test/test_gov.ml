@@ -502,6 +502,42 @@ let test_governed_phold_cut_trace_pinned () =
           (Hope_obs.Obs.export_string Hope_obs.Obs.Chrome
              (Hope_obs.Recorder.events obs))))
 
+(* The same governed PHOLD at phold-hope's horizon 15, where every
+   Replace that finds its sender carries a bitset of about 100 AIDs: the
+   governor forces about one cut in ten. Pinned: the cut counts, the
+   explain report, and the order of the Cycle_cut (iid, aid) stream,
+   folded by a tap chained after the monitor's (the governor reads the
+   monitor). Regenerate a constant only for a change that means to alter
+   it. *)
+let test_governed_phold_bitset_cuts_pinned () =
+  let obs = Hope_obs.Recorder.create () in
+  let stream = cut_stream () in
+  let gov = ref None and rt_ref = ref None in
+  let on_setup rt =
+    rt_ref := Some rt;
+    let tele = Telemetry.create ~deep:true ~recorder:obs () in
+    let mon = Telemetry.monitor tele in
+    Hope_obs.Recorder.set_tap obs ~dep:true (fun ~time ~proc p ->
+        Hope_obs.Monitor.observe mon ~time ~proc p;
+        stream.observe ~time ~proc p);
+    Telemetry.install tele (Scheduler.engine (Runtime.scheduler rt));
+    gov := Some (Governor.install rt ~tele)
+  in
+  ignore
+    (Hope_workloads.Phold.run_hope ~seed:42 ~obs ~on_setup
+       { Hope_workloads.Phold.default_params with horizon = 15.0 }
+      : Hope_workloads.Phold.outcome);
+  let rt = Option.get !rt_ref in
+  Alcotest.(check int) "every cut counted" 1_552_120 (Runtime.cycle_cuts rt);
+  Alcotest.(check int) "forced cuts" 152_825
+    (Governor.forced_cuts (Option.get !gov));
+  Alcotest.(check int) "every cut reported" (Runtime.cycle_cuts rt)
+    (stream.cuts ());
+  Alcotest.(check string)
+    "cut stream digest" "75650c754d48672512761689651476a8" (stream.digest ());
+  Alcotest.(check string)
+    "explain digest" "3ac10a1a3a4086f0efd7b2d63fcf7a7d" (explain_digest rt)
+
 (* A small governed OCC run, wired as `hope_sim occ --mode hybrid` wires
    it: one telemetry, with the [Policy.hybrid] governor installed on it
    in [on_setup]. Its OpenMetrics export is pinned: every series the
@@ -680,6 +716,8 @@ let () =
             test_idle_escalation_trace_byte_identical;
           test "governed PHOLD cut trace pinned"
             test_governed_phold_cut_trace_pinned;
+          test "governed PHOLD bitset cut stream pinned"
+            test_governed_phold_bitset_cuts_pinned;
           test "governed OCC metrics pinned" test_governed_occ_metrics_pinned;
         ] );
       ( "adversary",

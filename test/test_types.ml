@@ -126,6 +126,16 @@ let arbitrary_aid_lists =
 let same (s : Aid.Set.t) (o : Oracle.t) =
   List.equal Aid.equal (Aid.Set.elements s) (Oracle.elements o)
 
+(* [Aid.Set.fold_diff a b c] must visit exactly the elements of
+   a \ b \ c, in ascending order. *)
+let same_fold_diff a b c (o : Oracle.t) =
+  List.equal Aid.equal
+    (List.rev (Aid.Set.fold_diff (fun x acc -> x :: acc) a b c []))
+    (Oracle.elements o)
+
+let same_inter_cardinal a b oa ob =
+  Aid.Set.inter_cardinal a b = Oracle.cardinal (Oracle.inter oa ob)
+
 let qcheck_aid_set_vs_oracle =
   QCheck.Test.make ~name:"aid set: union/inter/diff agree with Set.Make"
     ~count:1000 arbitrary_aid_lists (fun (la, lb) ->
@@ -134,7 +144,17 @@ let qcheck_aid_set_vs_oracle =
       same s1 o1 && same s2 o2
       && same (Aid.Set.union s1 s2) (Oracle.union o1 o2)
       && same (Aid.Set.inter s1 s2) (Oracle.inter o1 o2)
-      && same (Aid.Set.diff s1 s2) (Oracle.diff o1 o2))
+      && same (Aid.Set.diff s1 s2) (Oracle.diff o1 o2)
+      && same_inter_cardinal s1 s2 o1 o2
+      && same_inter_cardinal s1 s1 o1 o1
+      && same_fold_diff s1 s2 Aid.Set.empty (Oracle.diff o1 o2)
+      && same_fold_diff s1 Aid.Set.empty s2 (Oracle.diff o1 o2)
+      &&
+      (* a third operand, half of each list *)
+      let l3 = List.filteri (fun i _ -> i mod 2 = 0) (la @ lb) in
+      let s3 = Aid.Set.of_list l3 and o3 = Oracle.of_list l3 in
+      same_fold_diff s1 s2 s3 (Oracle.diff (Oracle.diff o1 o2) o3)
+      && same_fold_diff s2 s3 s1 (Oracle.diff (Oracle.diff o2 o3) o1))
 
 let qcheck_aid_set_queries_vs_oracle =
   QCheck.Test.make ~name:"aid set: mem/disjoint/subset/equal agree with Set.Make"
@@ -211,11 +231,17 @@ let qcheck_aid_set_edits_vs_oracle =
     ~name:"aid set: one-element add/remove on wide bitsets agree with Set.Make"
     ~count:500 arbitrary_clustered (fun (members, probes) ->
       let s = idx_set members and o = Oracle.of_list (List.map aid_of_int members) in
+      let p = idx_set probes and op = Oracle.of_list (List.map aid_of_int probes) in
+      let half = List.filteri (fun i _ -> i mod 2 = 0) members in
+      let h = idx_set half and oh = Oracle.of_list (List.map aid_of_int half) in
       let ends =
         List.filter_map Fun.id [ Oracle.min_elt_opt o; Oracle.max_elt_opt o ]
       in
       same s o
       && Aid.Set.for_all (fun x -> Oracle.mem x o) s
+      && same_inter_cardinal s p o op
+      && same_fold_diff s p Aid.Set.empty (Oracle.diff o op)
+      && same_fold_diff p s Aid.Set.empty (Oracle.diff op o)
       && List.for_all
            (fun x ->
              let added = Aid.Set.add x s and removed = Aid.Set.remove x s in
@@ -225,7 +251,11 @@ let qcheck_aid_set_edits_vs_oracle =
              && Aid.Set.min_elt_opt added = Oracle.min_elt_opt oa
              && Aid.Set.min_elt_opt removed = Oracle.min_elt_opt orm
              && Aid.Set.exists (Aid.equal x) added
-             && not (Aid.Set.exists (Aid.equal x) removed))
+             && (not (Aid.Set.exists (Aid.equal x) removed))
+             && same_inter_cardinal added removed oa orm
+             && same_inter_cardinal removed h orm oh
+             && same_fold_diff added h p (Oracle.diff (Oracle.diff oa oh) op)
+             && same_fold_diff removed p h (Oracle.diff (Oracle.diff orm op) oh))
            (List.map aid_of_int probes @ ends))
 
 (* Hash-consing identity along chains of edits: after every add or remove

@@ -109,11 +109,7 @@ let test_report_wan_trace_pinned () =
     "summary digest" "a767c0a311e6972d5a98c491bf659186"
     (export_digest Hope_obs.Obs.Summary obs)
 
-(* The digest of a run's full [--explain] report: every interval's id,
-   start time, kind, dependencies at creation, fate and cut flag. *)
-let explain_digest rt =
-  Digest.to_hex
-    (Digest.string (Format.asprintf "%a" Explain.pp (Explain.of_runtime rt)))
+let explain_digest = Test_support.Util.explain_digest
 
 (* The same 12-section WAN run's speculation report, pinned. *)
 let test_report_wan_explain_pinned () =
@@ -254,6 +250,31 @@ let test_phold_cut_trace_pinned () =
   Alcotest.(check string)
     "summary digest" "6aee4a6f6e9e312b188f4d9331552039"
     (export_digest Hope_obs.Obs.Summary obs)
+
+(* phold-hope's shape (the bench workload): at horizon 15 every Replace
+   that finds its sender carries 101-112 replacement AIDs, a bitset,
+   while those of the horizon-4 runs above carry 13-30, an array. Pinned:
+   the cut count, the explain report, and the order of the run's
+   Cycle_cut (iid, aid) stream, folded by a tap as it is emitted.
+   Regenerate a constant only for a change that means to alter it. *)
+let bitset_phold = { Phold.default_params with horizon = 15.0 }
+
+let test_phold_bitset_cuts_pinned () =
+  let obs = Hope_obs.Recorder.create () in
+  let stream = Test_support.Util.cut_stream () in
+  Hope_obs.Recorder.set_tap obs stream.observe;
+  let rt = ref None in
+  ignore
+    (Phold.run_hope ~seed:42 ~obs ~on_setup:(fun r -> rt := Some r) bitset_phold
+      : Phold.outcome);
+  let rt = Option.get !rt in
+  Alcotest.(check int) "every cut counted" 1_379_539 (Runtime.cycle_cuts rt);
+  Alcotest.(check int) "every cut reported" (Runtime.cycle_cuts rt)
+    (stream.cuts ());
+  Alcotest.(check string)
+    "cut stream digest" "6227189ab5449fe83f32888832de3045" (stream.digest ());
+  Alcotest.(check string)
+    "explain digest" "7ad345290a0475c80b00aede1b7e34d2" (explain_digest rt)
 
 let test_job_routing_deterministic () =
   let j = { Job.job_id = 3; hop = 7 } in
@@ -436,6 +457,7 @@ let () =
           test "three engines agree" test_phold_three_engines_agree;
           test "cycle cut logged once per interval" test_phold_cut_logged_once;
           test "cut-heavy chrome trace pinned" test_phold_cut_trace_pinned;
+          test "bitset-layout cut stream pinned" test_phold_bitset_cuts_pinned;
           test "job routing deterministic" test_job_routing_deterministic;
           QCheck_alcotest.to_alcotest qcheck_job_route_valid;
         ] );
