@@ -13,7 +13,12 @@
    - words: rows are matched on experiment plus their explicit "key"
      object. On each matched row not marked "estimate", an exact
      minor-words metric (named minor_words... or overhead_mw...) that
-     grows by more than 10% and by more than 8 words is a regression.
+     grows by more than 10% and by more than 8 words is a regression. A
+     baseline row not marked "estimate" whose "group" (the bench group
+     that emitted it, which need not be its experiment name) the new
+     snapshot ran, but that the new snapshot lacks, is a regression too —
+     a renamed or dropped row would otherwise lose its words guard
+     silently.
      Estimate rows (a statistical fit, a multi-domain run) are skipped;
      their claims belong in gate rows.
 
@@ -27,6 +32,7 @@ let abs_gate_words = 8.0
 let die fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
 type row = {
+  group : string;
   key : string;  (* experiment + key fields, rendered stably *)
   estimate : bool;
   metrics : (string * float) list;
@@ -45,17 +51,19 @@ let row_of_json file = function
       | Some (Json_out.Obj o) -> o
       | _ -> die "%s: row without a %S object" file k
     in
-    let experiment =
-      match List.assoc_opt "experiment" kvs with
+    let str k =
+      match List.assoc_opt k kvs with
       | Some (Json_out.Str s) -> s
-      | _ -> die "%s: row without an \"experiment\" field" file
+      | _ -> die "%s: row without the %S field" file k
     in
+    let experiment = str "experiment" in
     let key =
       List.sort compare (obj "key")
       |> List.map (fun (k, v) -> Printf.sprintf " %s=%s" k (String.trim (Json_out.to_string v)))
       |> String.concat ""
     in
     {
+      group = str "group";
       key = experiment ^ key;
       estimate = List.assoc_opt "estimate" kvs = Some (Json_out.Bool true);
       metrics =
@@ -136,6 +144,16 @@ let evaluate ~old_s ~new_s =
           nr.metrics
       | Some _ | None -> ())
     new_s.rows;
+  let new_rows = Hashtbl.create 256 in
+  List.iter (fun r -> Hashtbl.replace new_rows r.key ()) new_s.rows;
+  List.iter
+    (fun r ->
+      if
+        (not r.estimate)
+        && List.mem r.group new_s.experiments
+        && not (Hashtbl.mem new_rows r.key)
+      then regress "row %s is in the baseline but missing" r.key)
+    old_s.rows;
   List.iter
     (fun (g : Gate.t) ->
       if g.fatal && not (Gate.holds g) then regress "gate %s" (Gate.to_string g)

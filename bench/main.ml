@@ -54,19 +54,22 @@ let monitor_peak () =
 
 (* --json support: every experiment appends one row per printed table
    line, its [~key] (the knobs that select the line) apart from what it
-   measures. A row whose words are a statistical estimate says so with
-   [~estimate:true]. Each group also states its claims as gate rows
-   ([gate]). Everything is written as one hope-bench/2 document on exit,
-   which bench/compare.exe diffs against bench/snapshots/baseline.json. *)
+   measures, and the group that emitted it (a row's experiment name need
+   not be its group's). A row whose words are a statistical estimate says
+   so with [~estimate:true]. Each group also states its claims as gate
+   rows ([gate]). Everything is written as one hope-bench/2 document on
+   exit, which bench/compare.exe diffs against
+   bench/snapshots/baseline.json. *)
 let json_file : string option ref = ref None
 let json_rows : Json_out.t list ref = ref []
 let gate_rows : Gate.t list ref = ref []
+let current_group = ref ""
 
 let row ?(estimate = false) experiment ~key metrics =
   let open Json_out in
   json_rows :=
-    Obj [ ("experiment", Str experiment); ("key", Obj key); ("metrics", Obj metrics);
-          ("estimate", Bool estimate) ]
+    Obj [ ("experiment", Str experiment); ("group", Str !current_group); ("key", Obj key);
+          ("metrics", Obj metrics); ("estimate", Bool estimate) ]
     :: !json_rows
 
 let gate ?(fatal = true) experiment name value op bound =
@@ -637,9 +640,10 @@ let micro () =
     cases
 
 (* --------------------------------------------------------------- *)
-(* TAGGING: the dependency-set data path (hash-consed hybrid sets    *)
-(* + History cumulative cache vs the seed's per-send Set.Make fold), *)
-(* DOM registration in the AID machine, and one-AID bitset edits.    *)
+(* TAGGING: the dependency-set data path (hybrid sets + History's    *)
+(* identity-stamped cumulative cache vs the seed's per-send Set.Make *)
+(* fold), DOM registration in the AID machine, one-AID bitset edits  *)
+(* and one Algorithm-2 Replace.                                      *)
 (* --------------------------------------------------------------- *)
 
 let tagging () =
@@ -647,11 +651,12 @@ let tagging () =
     "TAGGING: cumulative-tag-set cost per speculative send, DOM cost per \
      Guess, bitset edit cost"
     "every speculative send tags the message with the union of all live \
-     IDO sets; the hash-consed sets plus the History cache must cut \
-     allocations per tagged send by >=2x at depth 64 versus the previous \
-     per-send Set.Make fold; a Guess into an AID costs the same at any \
-     DOM size (<=3x from 64 to 4096 registered intervals); and adding or \
-     removing one AID of a 4096-AID bitset allocates at most card/8 words";
+     IDO sets; History's cumulative cache, its slots stamped with the \
+     sets they folded in, must cut allocations per tagged send by >=2x at \
+     depth 64 versus the previous per-send Set.Make fold; a Guess into an \
+     AID costs the same at any DOM size (<=3x from 64 to 4096 registered \
+     intervals); and adding or removing one AID of a 4096-AID bitset \
+     allocates at most card/8 words";
   let open Hope_types in
   let module History = Hope_core.History in
   let module Tree = Set.Make (struct
@@ -710,7 +715,7 @@ let tagging () =
       | (Some bns, Some bw), (Some hns, Some hw) ->
         let ratio = bw /. Float.max hw 1e-3 in
         print_one "Set.Make fold (seed)" bns bw "1.0";
-        print_one "hash-consed cache" hns hw (Printf.sprintf "%.1fx" ratio);
+        print_one "identity-stamped cache" hns hw (Printf.sprintf "%.1fx" ratio);
         List.iter
           (fun (impl, ns, words) ->
             row "tagging"
@@ -721,27 +726,18 @@ let tagging () =
                 jfloat "alloc_ratio_vs_baseline"
                   (if impl = "setmake_fold" then 1.0 else ratio);
               ])
-          [ ("setmake_fold", bns, bw); ("hashconsed_cache", hns, hw) ];
+          [ ("setmake_fold", bns, bw); ("stamped_cache", hns, hw) ];
         if depth = 64 then
           gate "tagging" "depth=64 alloc_ratio_vs_baseline" ratio Gate.Ge 2.0
       | _ -> Printf.printf "%-6d (no estimate)\n" depth)
     [ 1; 8; 64 ];
-  let stats = Aid_set.stats () in
-  Printf.printf "\nunion memo: %d hits, %d computed\n"
-    stats.Aid_set.unions_memoized stats.Aid_set.unions_computed;
-  row "tagging-memo" ~key:[]
-    [
-      jint "unions_memoized" stats.Aid_set.unions_memoized;
-      jint "unions_computed" stats.Aid_set.unions_computed;
-    ];
   (* DOM registration: a Guess into a Hot AID must cost the same whatever
      its DOM already holds. A sample primes [4096 / dom] AIDs with [dom]
      Guesses each (untimed), then times the next [dom / 4] Guesses into
      every one of them: at these power-of-two sizes the registry doubles
      inside that window, so its growth is amortised as it is in a run.
-     Timed Guesses name ids no AID has seen, so no memoized union can
-     answer them. Words are minor plus direct-major: arrays of 256 words
-     or more skip the minor heap. *)
+     Timed Guesses name ids no AID has seen. Words are minor plus
+     direct-major: arrays of 256 words or more skip the minor heap. *)
   let module M = Hope_core.Aid_machine in
   let clock = Bechamel.Toolkit.Monotonic_clock.make () in
   let now () = Bechamel.Toolkit.Monotonic_clock.get clock in
@@ -1660,7 +1656,9 @@ let () =
   List.iter
     (fun name ->
       match List.assoc_opt name experiments with
-      | Some f -> f ()
+      | Some f ->
+        current_group := name;
+        f ()
       | None ->
         Printf.eprintf "unknown experiment %S (have: %s)\n" name
           (String.concat ", " (List.map fst experiments));

@@ -12,11 +12,13 @@ let gate_json ?(experiment = "g") ?(fatal = true) name value op bound =
     {|{"experiment": %S, "gate": %S, "value": %s, "op": %S, "bound": %s, "fatal": %b}|}
     experiment name value op bound fatal
 
-let row_json ?(estimate = false) experiment key metrics =
+let row_json ?(estimate = false) ?group experiment key metrics =
   let obj kvs =
     "{" ^ String.concat ", " (List.map (fun (k, v) -> Printf.sprintf "%S: %s" k v) kvs) ^ "}"
   in
-  Printf.sprintf {|{"experiment": %S, "key": %s, "metrics": %s%s}|} experiment
+  Printf.sprintf {|{"experiment": %S, "group": %S, "key": %s, "metrics": %s%s}|}
+    experiment
+    (Option.value group ~default:experiment)
     (obj key) (obj metrics)
     (if estimate then {|, "estimate": true|} else "")
 
@@ -79,7 +81,16 @@ let test_words_rule () =
   ignore (exits ~old_text 1 (snap "111"));  (* +11%, +11 words *)
   ignore (exits ~old_text 0 (snap "109"));  (* +9% *)
   ignore (exits ~old_text 0 (snap ~estimate:true "200"));
-  ignore (exits ~old_text 0 (snap ~key:[ ("k", "2") ] "200"));  (* unmatched *)
+  (* a row the baseline lacks is not compared *)
+  ignore
+    (exits ~old_text 0
+       (snapshot
+          ~rows:
+            [
+              row_json "g" [ ("k", "1") ] [ ("minor_words", "100") ];
+              row_json "g" [ ("k", "2") ] [ ("minor_words", "200") ];
+            ]
+          ()));
   let old_text = snap "10" in
   ignore (exits ~old_text 0 (snap "17"));  (* +70% but only +7 words *)
   ignore (exits ~old_text 1 (snap "19"))
@@ -91,6 +102,33 @@ let test_missing_gate () =
   (* the group did not run: its gates cannot be missing *)
   ignore (exits ~old_text 0 (snapshot ~experiments:[ "other" ] ()))
 
+let test_missing_row () =
+  let old_text =
+    snapshot
+      ~rows:
+        [
+          row_json "g" [ ("k", "1") ] [ ("minor_words", "100") ];
+          row_json ~estimate:true "g" [ ("k", "2") ] [ ("minor_words", "100") ];
+        ]
+      ()
+  in
+  (* renamed: k=1 is gone, and its words guard with it *)
+  let output =
+    exits ~old_text 1
+      (snapshot ~rows:[ row_json "g" [ ("k", "3") ] [ ("minor_words", "100") ] ] ())
+  in
+  Alcotest.(check bool) "names the row" true (contains output "g k=1");
+  Alcotest.(check bool) "not the estimate row" false (contains output "g k=2");
+  (* the group did not run: its rows cannot be missing *)
+  ignore (exits ~old_text 0 (snapshot ~experiments:[ "other" ] ()));
+  (* a row named apart from the group that emits it is checked by its group *)
+  let old_text =
+    snapshot ~rows:[ row_json ~group:"g" "g-residency" [] [ ("minor_words", "1") ] ] ()
+  in
+  let output = exits ~old_text 1 (snapshot ()) in
+  Alcotest.(check bool) "names the renamed row" true (contains output "g-residency");
+  ignore (exits ~old_text 0 (snapshot ~experiments:[ "g-residency" ] ()))
+
 let test_malformed () =
   let names_row output =
     Alcotest.(check bool) "names the row" true (contains output "g/claim")
@@ -100,7 +138,12 @@ let test_malformed () =
   names_row (exits 2 (gate_only "1" "<=" "null"));
   let v1 = {|{"schema": "hope-bench/1", "experiments": [], "rows": []}|} in
   let output = exits ~old_text:v1 2 (snapshot ()) in
-  Alcotest.(check bool) "says hope-bench/1" true (contains output "hope-bench/1")
+  Alcotest.(check bool) "says hope-bench/1" true (contains output "hope-bench/1");
+  let no_group =
+    snapshot ~rows:[ {|{"experiment": "g", "key": {}, "metrics": {}}|} ] ()
+  in
+  let output = exits ~old_text:no_group 2 (snapshot ()) in
+  Alcotest.(check bool) "names the group field" true (contains output {|"group"|})
 
 (* A snapshot whose row keys drifted (impl spelled undo-journal, skew
    renamed) while the depth-64 rollback ratio fell to 0.5x and hybrid ran
@@ -154,6 +197,7 @@ let () =
           Alcotest.test_case "each op passes and fails on its side" `Quick test_ops;
           Alcotest.test_case "fatal=false never fails" `Quick test_not_fatal;
           Alcotest.test_case "missing gate is a regression" `Quick test_missing_gate;
+          Alcotest.test_case "missing row is a regression" `Quick test_missing_row;
           Alcotest.test_case "malformed input exits 2" `Quick test_malformed;
           Alcotest.test_case "key drift cannot hide a failing claim" `Quick test_key_drift;
         ] );

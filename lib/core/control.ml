@@ -58,14 +58,16 @@ let handle_replace ?emit ?cut ?on_cut_aid algorithm hist ~target ~sender ~ido
           itv.History.udo <- Aid.Set.add sender itv.History.udo;
           itv.History.udo
       in
-      (* The governor's actuator rules on every candidate the UDO check let
-         through, already-dependent ones included, in ascending order: a
-         dynamic, churn-driven cut, Figure 15's resolution applied by
-         observed orbits instead of by the static walk-through set.
-         Without a governor the fold visits only the fresh candidates. *)
+      (* One pass over the replacement set counts its UDO cuts and folds
+         over the rest. The governor's actuator rules on every candidate
+         the UDO check let through, already-dependent ones included, in
+         ascending order: a dynamic, churn-driven cut, Figure 15's
+         resolution applied by observed orbits instead of by the static
+         walk-through set. Without a governor the fold visits only the
+         fresh candidates. *)
       let forced = ref [] in
-      let fresh =
-        Aid.Set.fold_diff
+      let udo_cuts, fresh =
+        Aid.Set.count_fold_diff
           (fun y acc ->
             if
               match cut with
@@ -83,7 +85,7 @@ let handle_replace ?emit ?cut ?on_cut_aid algorithm hist ~target ~sender ~ido
           (match cut with None -> itv.History.ido | Some _ -> Aid.Set.empty)
           []
       in
-      let cuts = Aid.Set.inter_cardinal ido udo + List.length !forced in
+      let cuts = udo_cuts + List.length !forced in
       if cuts > 0 then begin
         itv.History.cut <- true;
         (match on_cut_aid with

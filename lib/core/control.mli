@@ -58,8 +58,9 @@ val handle_replace :
     dependencies) are ignored.
 
     Under Algorithm 2 a candidate in the interval's UDO (which by then
-    holds [sender]) is cut: Figure 15's cycle check, counted as
-    [Aid.Set.inter_cardinal ido udo] without visiting the candidates.
+    holds [sender]) is cut: Figure 15's cycle check, counted by the word
+    in the same [Aid.Set.count_fold_diff] pass that finds the fresh
+    candidates, without visiting the cut ones.
     [cut], when given, is consulted for every candidate the UDO check let
     through (under either algorithm), already-dependent ones included, in
     ascending AID order: returning [true] cuts the candidate too. This is
@@ -68,7 +69,7 @@ val handle_replace :
     remaining candidates the interval does not yet depend on join its IDO
     in one union, and one {!Send_guess} per such AID leads the returned
     actions, in ascending order. Without [cut], only those fresh
-    candidates are visited ([Aid.Set.fold_diff]).
+    candidates are visited.
 
     A Replace that cuts anything sets the interval's
     {!History.interval.cut} flag, then calls [on_cut_aid target aid] (when

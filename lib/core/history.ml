@@ -27,11 +27,11 @@ type interval = {
    cached instead of re-folded per call. Tests and [Control] mutate
    interval [ido]/[udo] fields directly, so the cache cannot rely on
    being notified: each cached fold stores, per covered interval, the
-   hash-cons id ([Aid.Set.id]) of the set it folded in, and a cache hit
-   requires every live interval's current id to match its stamp — an
-   allocation-free O(depth) integer scan. Push extends a valid cache with
-   one memoized union; any mutation or truncation is caught by the stamp
-   scan and triggers a lazy refold.
+   set it folded in, and a cache hit requires every live interval's
+   current set to be that very set ([==]: sets are immutable, so an
+   unchanged field still holds it) — an allocation-free O(depth) pointer
+   scan. Push extends a valid cache with one union; any mutation or
+   truncation is caught by the stamp scan and triggers a lazy refold.
 
    Every pushed interval also stays on [pushed] (newest first) after it
    leaves the window, its [fate] written as it goes: the history is the
@@ -45,8 +45,8 @@ type t = {
   mutable pushed : interval list;
   mutable finalized : int;
   mutable rolled : int;
-  mutable ido_stamp : int array;  (** parallel to [buf] *)
-  mutable udo_stamp : int array;
+  mutable ido_stamp : Aid.Set.t array;  (** parallel to [buf] *)
+  mutable udo_stamp : Aid.Set.t array;
   mutable cum_ido : Aid.Set.t;
   mutable cum_ido_from : int;  (** [head] value the cache was built at *)
   mutable cum_ido_count : int;  (** [len] value; -1 forces a refold *)
@@ -85,11 +85,11 @@ let owner t = t.hist_owner
    allocation-free. *)
 let rec ido_stamps_ok t i stop =
   i >= stop
-  || (t.ido_stamp.(i) = Aid.Set.id t.buf.(i).ido && ido_stamps_ok t (i + 1) stop)
+  || (t.ido_stamp.(i) == t.buf.(i).ido && ido_stamps_ok t (i + 1) stop)
 
 let rec udo_stamps_ok t i stop =
   i >= stop
-  || (t.udo_stamp.(i) = Aid.Set.id t.buf.(i).udo && udo_stamps_ok t (i + 1) stop)
+  || (t.udo_stamp.(i) == t.buf.(i).udo && udo_stamps_ok t (i + 1) stop)
 
 let ido_cache_valid t =
   t.cum_ido_count = t.len
@@ -106,7 +106,7 @@ let cumulative_ido t =
     let acc = ref Aid.Set.empty in
     for i = t.head to t.head + t.len - 1 do
       let s = t.buf.(i).ido in
-      t.ido_stamp.(i) <- Aid.Set.id s;
+      t.ido_stamp.(i) <- s;
       acc := Aid.Set.union !acc s
     done;
     t.cum_ido <- !acc;
@@ -120,7 +120,7 @@ let cumulative_udo t =
     let acc = ref Aid.Set.empty in
     for i = t.head to t.head + t.len - 1 do
       let s = t.buf.(i).udo in
-      t.udo_stamp.(i) <- Aid.Set.id s;
+      t.udo_stamp.(i) <- s;
       acc := Aid.Set.union !acc s
     done;
     t.cum_udo <- !acc;
@@ -160,7 +160,8 @@ let push t ~kind ~ido ~now =
     let ncap = max 8 ((t.len + 1) * 2) in
     let nbuf = Array.make ncap itv in
     Array.blit t.buf t.head nbuf 0 t.len;
-    let nido = Array.make ncap 0 and nudo = Array.make ncap 0 in
+    let nido = Array.make ncap Aid.Set.empty
+    and nudo = Array.make ncap Aid.Set.empty in
     Array.blit t.ido_stamp t.head nido 0 t.len;
     Array.blit t.udo_stamp t.head nudo 0 t.len;
     t.buf <- nbuf;
@@ -175,13 +176,13 @@ let push t ~kind ~ido ~now =
   t.len <- t.len + 1;
   if ido_valid then begin
     t.cum_ido <- Aid.Set.union t.cum_ido ido;
-    t.ido_stamp.(pos) <- Aid.Set.id ido;
+    t.ido_stamp.(pos) <- ido;
     t.cum_ido_count <- t.len
   end
   else t.cum_ido_count <- -1;
   if udo_valid then begin
     (* the new interval's UDO is empty: the cached union is unchanged *)
-    t.udo_stamp.(pos) <- Aid.Set.id itv.udo;
+    t.udo_stamp.(pos) <- itv.udo;
     t.cum_udo_count <- t.len
   end
   else t.cum_udo_count <- -1;

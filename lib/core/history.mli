@@ -89,9 +89,10 @@ val find : t -> Interval_id.t -> interval option
 val cumulative_ido : t -> Aid.Set.t
 (** Union of live IDO sets: the process's current dependency set — the tag
     for outgoing messages (§3). Served from an incrementally maintained
-    cache validated by hash-cons stamps: O(depth) integer comparisons when
-    nothing changed (no allocation, no union), one memoized union per
-    [push], a lazy refold after rollback or direct IDO mutation. *)
+    cache whose slots are stamped with the sets they folded in: O(depth)
+    physical-equality tests when nothing changed (no allocation, no
+    union), one union per [push], a lazy refold after rollback or direct
+    IDO mutation. *)
 
 val cumulative_udo : t -> Aid.Set.t
 (** Union of live UDO sets, cached like {!cumulative_ido}. *)

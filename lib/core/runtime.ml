@@ -286,7 +286,7 @@ let collect_garbage t =
   let referenced = ref Aid.Set.empty in
   Hashtbl.iter
     (fun _ hist ->
-      (* IDO and UDO come from the history's cumulative caches (memoized
+      (* IDO and UDO come from the history's cumulative caches (cached
          unions); only the usually-empty IHA/IHD sets need a sweep. *)
       referenced := Aid.Set.union !referenced (History.cumulative_ido hist);
       referenced := Aid.Set.union !referenced (History.cumulative_udo hist);

@@ -11,7 +11,7 @@ let to_string t = Format.asprintf "%a" pp t
 (* AIDs are already interned: the AID process id *is* a dense small
    integer (the scheduler allocates process ids consecutively), and
    [compare] is integer comparison on it, so [index] is order-preserving
-   and the hash-consed hybrid set can use the bitset layout. *)
+   and the hybrid set can use the bitset layout. *)
 module Set = Aid_set.Make (struct
   type nonrec t = t
 

@@ -21,15 +21,16 @@ val compare : t -> t -> int
 val index : t -> int
 (** The interned dense integer identity of this AID (the underlying
     process id). Order-preserving with respect to {!compare}; the basis
-    for the bitset layout and O(1) equality of {!Set}. *)
+    for the bitset layout of {!Set}. *)
 
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Set : Aid_set.S with type elt = t
-(** Hash-consed hybrid sets of AIDs (see {!Aid_set}): O(1) equality,
-    memoized union, allocation-free membership — the representation of
-    message tags and interval IDO/UDO sets. Iteration order matches the
-    previous [Set.Make] instantiation exactly. *)
+(** Hybrid sets of AIDs (see {!Aid_set}): a sorted array while small, a
+    bitset beyond, with allocation-free membership and word-level edits —
+    the representation of message tags and interval IDO/UDO sets.
+    Iteration order matches the previous [Set.Make] instantiation
+    exactly. *)
 
 module Map : Map.S with type key = t

@@ -1,4 +1,4 @@
-(* Hash-consed hybrid integer sets behind Aid.Set / Interval_id.Set.
+(* Hybrid integer sets behind Aid.Set / Interval_id.Set.
    See aid_set.mli for the design rationale. Invariants:
 
    - Arr payloads are sorted, duplicate-free, and never mutated after
@@ -6,13 +6,10 @@
    - Bits payloads (dense element domains only) are used exactly when
      [E.dense && cardinal > small_max]; the word array is trimmed (first
      and last words non-zero) so the representation is canonical — the
-     layout is a pure function of the element set, which hash-consing
-     relies on.
-   - Every set is registered in a weak hash-cons table, so structurally
-     equal sets built through any operation sequence are physically equal
-     while at least one copy is live. [equal] still falls back to a
-     structural check so correctness never depends on weak-table
-     retention. *)
+     layout is a pure function of the element set, which [equal] relies
+     on.
+   - Sets are plain immutable values and the module keeps no table, so
+     runtimes on different domains can build and share sets freely. *)
 
 let small_max = 32
 let bits_per_word = 63
@@ -39,12 +36,10 @@ module type S = sig
   val union : t -> t -> t
   val inter : t -> t -> t
   val diff : t -> t -> t
-  val inter_cardinal : t -> t -> int
-  val fold_diff : (elt -> 'acc -> 'acc) -> t -> t -> t -> 'acc -> 'acc
+  val count_fold_diff : (elt -> 'acc -> 'acc) -> t -> t -> t -> 'acc -> int * 'acc
   val disjoint : t -> t -> bool
   val subset : t -> t -> bool
   val equal : t -> t -> bool
-  val compare : t -> t -> int
   val cardinal : t -> int
   val elements : t -> elt list
   val of_list : elt list -> t
@@ -55,16 +50,12 @@ module type S = sig
   val filter : (elt -> bool) -> t -> t
   val choose_opt : t -> elt option
   val min_elt_opt : t -> elt option
-  val id : t -> int
-  val hash : t -> int
   val pp : Format.formatter -> t -> unit
 end
 
 type stats = { unions_memoized : int; unions_computed : int }
 
-let memo_hits = ref 0
-let memo_misses = ref 0
-let stats () = { unions_memoized = !memo_hits; unions_computed = !memo_misses }
+let stats () = { unions_memoized = 0; unions_computed = 0 }
 
 module Make (E : ELT) = struct
   type elt = E.t
@@ -75,7 +66,7 @@ module Make (E : ELT) = struct
         (** bit [b] of [words.(w)] set iff index [(off + w) * 63 + b] is a
             member; trimmed so the first and last words are non-zero *)
 
-  type t = { uid : int; h : int; card : int; repr : repr }
+  type t = { card : int; repr : repr }
 
   (* ------------------------------------------------------------------ *)
   (* Raw representation helpers                                          *)
@@ -99,20 +90,12 @@ module Make (E : ELT) = struct
       go 0
     | Arr _, Bits _ | Bits _, Arr _ -> false
 
-  let hash_repr = function
-    | Arr a -> Array.fold_left (fun h x -> (h * 486187739) + x + 1) 5381 a
-    | Bits { off; words } ->
-      Array.fold_left
-        (fun h w -> (h * 486187739) + (w lxor (w lsr 31)))
-        ((off * 7919) + 17)
-        words
-
   (* Population count of a 63-bit word, a word at a time (SWAR): the bits
      are summed in pairs, then nibbles, then bytes, and one multiply
      gathers the byte sums into the top byte. [lsr] moves bit 62 (the sign
      bit) like any other, the 64-bit masks keep their low 63 bits, and the
      sum (at most 63) fits the top byte's 7 bits. *)
-  let popcount x =
+  let[@inline] popcount x =
     let x = x - ((x lsr 1) land 0x5555_5555_5555_5555) in
     let x =
       (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333)
@@ -151,35 +134,13 @@ module Make (E : ELT) = struct
         : int);
     out
 
-  (* ------------------------------------------------------------------ *)
-  (* Hash-consing                                                        *)
-  (* ------------------------------------------------------------------ *)
-
-  module HC = Weak.Make (struct
-    type node = t
-    type t = node
-
-    let equal a b = a.h = b.h && a.card = b.card && repr_equal a.repr b.repr
-    let hash t = t.h
-  end)
-
-  let table = HC.create 1024
-  let next_uid = ref 0
-
-  let cons card repr =
-    let h = hash_repr repr land max_int in
-    let node = { uid = !next_uid; h; card; repr } in
-    let res = HC.merge table node in
-    if res == node then incr next_uid;
-    res
-
-  let empty = cons 0 (Arr [||])
+  let empty = { card = 0; repr = Arr [||] }
 
   (* Canonical constructor from a sorted duplicate-free index array. *)
   let of_sorted_unique a =
     let card = Array.length a in
     if card = 0 then empty
-    else if (not E.dense) || card <= small_max then cons card (Arr a)
+    else if (not E.dense) || card <= small_max then { card; repr = Arr a }
     else begin
       let lo = a.(0) / bits_per_word and hi = a.(card - 1) / bits_per_word in
       let words = Array.make (hi - lo + 1) 0 in
@@ -188,7 +149,7 @@ module Make (E : ELT) = struct
           let w = (x / bits_per_word) - lo in
           words.(w) <- words.(w) lor (1 lsl (x mod bits_per_word)))
         a;
-      cons card (Bits { off = lo; words })
+      { card; repr = Bits { off = lo; words } }
     end
 
   (* Canonical constructor from an untrimmed word array starting at word
@@ -211,7 +172,7 @@ module Make (E : ELT) = struct
         if !lo = 0 && !hi = n - 1 then words
         else Array.sub words !lo (!hi - !lo + 1)
       in
-      cons card (Bits { off = off + !lo; words })
+      { card; repr = Bits { off = off + !lo; words } }
     end
 
   let mem_idx x t =
@@ -260,7 +221,7 @@ module Make (E : ELT) = struct
           incr card
         end)
       a;
-    cons !card (Bits { off = lo; words = out })
+    { card = !card; repr = Bits { off = lo; words = out } }
 
   (* The bitset [card, off, words] without its member [x]: one copy of the
      words, trimmed when [x] was the only bit of the first or last word; the
@@ -289,11 +250,11 @@ module Make (E : ELT) = struct
       end;
       let out = Array.sub words !lo (!hi - !lo + 1) in
       if wi >= !lo && wi <= !hi then out.(wi - !lo) <- w;
-      cons (card - 1) (Bits { off = off + !lo; words = out })
+      { card = card - 1; repr = Bits { off = off + !lo; words = out } }
     end
 
   (* ------------------------------------------------------------------ *)
-  (* Memoized union                                                      *)
+  (* Union                                                               *)
   (* ------------------------------------------------------------------ *)
 
   let merge_arrays a b =
@@ -329,51 +290,23 @@ module Make (E : ELT) = struct
     done;
     if !k = na + nb then out else Array.sub out 0 !k
 
-  let union_raw a b =
-    match (a.repr, b.repr) with
-    | Bits { off = o1; words = w1 }, Bits { off = o2; words = w2 } ->
-      let lo = min o1 o2 in
-      let hi = max (o1 + Array.length w1) (o2 + Array.length w2) in
-      let words = Array.make (hi - lo) 0 in
-      Array.iteri (fun i w -> words.(o1 - lo + i) <- w) w1;
-      Array.iteri
-        (fun i w -> words.(o2 - lo + i) <- words.(o2 - lo + i) lor w)
-        w2;
-      of_words lo words
-    | Bits { off; words }, Arr x -> bits_add_sorted a.card off words x
-    | Arr x, Bits { off; words } -> bits_add_sorted b.card off words x
-    | Arr x, Arr y -> of_sorted_unique (merge_arrays x y)
-
-  (* The per-send cumulative-tag fold recomputes the same unions over and
-     over; memoize on the operands' hash-cons uids. Keys are packed into
-     one int (uids stay far below 2^31 in practice; pairs that would not
-     pack are computed unmemoized). The table is capped so a pathological
-     workload degrades to recomputation, not unbounded growth. *)
-  let union_memo : (int, t) Hashtbl.t = Hashtbl.create 4096
-  let union_memo_cap = 1 lsl 17
-
   let union a b =
-    if a == b then a
+    if a == b || b.card = 0 then a
     else if a.card = 0 then b
-    else if b.card = 0 then a
-    else begin
-      let a, b = if a.uid <= b.uid then (a, b) else (b, a) in
-      if b.uid >= 0x4000_0000 then union_raw a b
-      else begin
-        let key = (a.uid lsl 31) lor b.uid in
-        match Hashtbl.find union_memo key with
-        | r ->
-          incr memo_hits;
-          r
-        | exception Not_found ->
-          incr memo_misses;
-          let r = union_raw a b in
-          if Hashtbl.length union_memo >= union_memo_cap then
-            Hashtbl.reset union_memo;
-          Hashtbl.add union_memo key r;
-          r
-      end
-    end
+    else
+      match (a.repr, b.repr) with
+      | Bits { off = o1; words = w1 }, Bits { off = o2; words = w2 } ->
+        let lo = min o1 o2 in
+        let hi = max (o1 + Array.length w1) (o2 + Array.length w2) in
+        let words = Array.make (hi - lo) 0 in
+        Array.iteri (fun i w -> words.(o1 - lo + i) <- w) w1;
+        Array.iteri
+          (fun i w -> words.(o2 - lo + i) <- words.(o2 - lo + i) lor w)
+          w2;
+        of_words lo words
+      | Bits { off; words }, Arr x -> bits_add_sorted a.card off words x
+      | Arr x, Bits { off; words } -> bits_add_sorted b.card off words x
+      | Arr x, Arr y -> of_sorted_unique (merge_arrays x y)
 
   (* ------------------------------------------------------------------ *)
   (* Other set operations                                                *)
@@ -437,72 +370,108 @@ module Make (E : ELT) = struct
           sa;
         of_sorted_unique (Array.sub out 0 !k)
 
-  (* How many members of the sorted array [x] lie in [t]. *)
-  let count_mem x t =
-    let n = ref 0 in
-    for i = 0 to Array.length x - 1 do
-      if mem_idx x.(i) t then incr n
+  (* The members of the sorted array [a] among the indices of word [gw]
+     ([gw * 63 .. gw * 63 + 62]), as a word: a binary search for the
+     first index at or above the word's base. *)
+  let arr_word a gw =
+    let base = gw * bits_per_word and n = Array.length a in
+    let lo = ref 0 and hi = ref n in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if a.(mid) < base then lo := mid + 1 else hi := mid
     done;
+    let m = ref 0 and i = ref !lo in
+    while !i < n && a.(!i) < base + bits_per_word do
+      m := !m lor (1 lsl (a.(!i) - base));
+      incr i
+    done;
+    !m
+
+  (* [f] over the members in the word [w] at word index [gw], ascending. *)
+  let fold_word f gw w acc =
+    let base = gw * bits_per_word in
+    let acc = ref acc and w = ref w in
+    while !w <> 0 do
+      let low = !w land - !w in
+      acc := f (E.of_index (base + ctz_bit low)) !acc;
+      w := !w lxor low
+    done;
+    !acc
+
+  (* The members of [t] outside the words [lo, hi): a popcount per word
+     of a bitset outside the range, a test per element of an array. *)
+  let outside t lo hi =
+    let n = ref 0 in
+    (match t.repr with
+    | Bits { off; words } ->
+      let len = Array.length words in
+      for j = 0 to min len (lo - off) - 1 do
+        n := !n + popcount words.(j)
+      done;
+      for j = max 0 (hi - off) to len - 1 do
+        n := !n + popcount words.(j)
+      done
+    | Arr x ->
+      for i = 0 to Array.length x - 1 do
+        if x.(i) < lo * bits_per_word || x.(i) >= hi * bits_per_word then incr n
+      done);
     !n
 
-  let inter_cardinal a b =
-    if a.card = 0 || b.card = 0 then 0
-    else if a == b then a.card
-    else
-      match (a.repr, b.repr) with
-      | Bits { off = o1; words = w1 }, Bits { off = o2; words = w2 } ->
-        let n = ref 0 in
-        for i = max o1 o2 to min (o1 + Array.length w1) (o2 + Array.length w2) - 1 do
-          n := !n + popcount (w1.(i - o1) land w2.(i - o2))
-        done;
-        !n
-      | Arr x, _ -> count_mem x b
-      | Bits _, Arr y -> count_mem y a
-
-  (* The members of [t] among the indices [base .. base + 62], as a word.
-     An array is searched for its first index at or above [base]. *)
-  let word_at t base =
-    match t.repr with
-    | Bits { off; words } ->
-      let w = (base / bits_per_word) - off in
-      if w >= 0 && w < Array.length words then words.(w) else 0
-    | Arr a ->
-      let n = Array.length a in
-      let lo = ref 0 and hi = ref n in
-      while !lo < !hi do
-        let mid = (!lo + !hi) / 2 in
-        if a.(mid) < base then lo := mid + 1 else hi := mid
-      done;
-      let m = ref 0 and i = ref !lo in
-      while !i < n && a.(!i) < base + bits_per_word do
-        m := !m lor (1 lsl (a.(!i) - base));
-        incr i
-      done;
-      !m
-
-  let fold_diff f a b c acc =
+  (* One pass over [a]: a member in [b] is counted, a member in neither
+     [b] nor [c] is handed to [f]. A bitset is walked by the word, masked
+     by the matching words of [b] and [c]; their layouts are read once,
+     outside the loop, so a bitset's word is one bounds test away and
+     only a non-empty array pays a search per word. The count is [b]'s
+     members in [a]'s words less those [a] misses, so a word pays a
+     popcount only where [a] lacks some of [b]'s members. On phold-hope's
+     Replaces ([a] the replacement set, [b] the UDO) that is about one
+     word in six: [a] holds the whole UDO in 31% of them. A popcount on
+     every word of [a] fails the tagging bench's fatal Replace gate in
+     about half its runs (EXPERIMENTS.md "HASHCONS"). *)
+  let count_fold_diff f a b c acc =
     match a.repr with
     | Arr x ->
-      let acc = ref acc in
+      let n = ref 0 and acc = ref acc in
       for i = 0 to Array.length x - 1 do
         let v = x.(i) in
-        if not (mem_idx v b || mem_idx v c) then acc := f (E.of_index v) !acc
+        if mem_idx v b then incr n
+        else if not (mem_idx v c) then acc := f (E.of_index v) !acc
       done;
-      !acc
+      (!n, !acc)
     | Bits { off; words } ->
-      let acc = ref acc in
-      for wi = 0 to Array.length words - 1 do
-        let base = (off + wi) * bits_per_word in
-        let w =
-          ref (words.(wi) land lnot (word_at b base) land lnot (word_at c base))
+      let bo, bw, ba =
+        match b.repr with
+        | Bits { off; words } -> (off, words, [||])
+        | Arr x -> (0, [||], x)
+      and co, cw, ca =
+        match c.repr with
+        | Bits { off; words } -> (off, words, [||])
+        | Arr x -> (0, [||], x)
+      in
+      let len = Array.length words and nb = Array.length bw and nc = Array.length cw in
+      let b_arr = Array.length ba > 0 and c_arr = Array.length ca > 0 in
+      let missed = ref 0 and acc = ref acc in
+      for wi = 0 to len - 1 do
+        let gw = off + wi and aw = Array.unsafe_get words wi in
+        let inb =
+          if b_arr then arr_word ba gw
+          else if gw >= bo && gw - bo < nb then Array.unsafe_get bw (gw - bo)
+          else 0
         in
-        while !w <> 0 do
-          let low = !w land - !w in
-          acc := f (E.of_index (base + ctz_bit low)) !acc;
-          w := !w lxor low
-        done
+        let m = inb land lnot aw in
+        if m <> 0 then missed := !missed + popcount m;
+        let w = aw land lnot inb in
+        if w <> 0 then begin
+          let inc =
+            if c_arr then arr_word ca gw
+            else if gw >= co && gw - co < nc then Array.unsafe_get cw (gw - co)
+            else 0
+          in
+          let w = w land lnot inc in
+          if w <> 0 then acc := fold_word f gw w !acc
+        end
       done;
-      !acc
+      (b.card - outside b off (off + len) - !missed, !acc)
 
   let disjoint a b =
     if a.card = 0 || b.card = 0 then true
@@ -551,24 +520,8 @@ module Make (E : ELT) = struct
             <= small_max < card a: the cardinal guard already failed. *)
          false
 
-  let equal a b =
-    a == b || (a.h = b.h && a.card = b.card && repr_equal a.repr b.repr)
-
-  let compare a b =
-    if equal a b then 0
-    else begin
-      let x = to_idx_array a and y = to_idx_array b in
-      let nx = Array.length x and ny = Array.length y in
-      let n = min nx ny in
-      let rec go i =
-        if i = n then Stdlib.compare nx ny
-        else begin
-          let c = Stdlib.compare x.(i) y.(i) in
-          if c <> 0 then c else go (i + 1)
-        end
-      in
-      go 0
-    end
+  (* The layout is canonical, so equal sets have equal layouts. *)
+  let equal a b = a == b || (a.card = b.card && repr_equal a.repr b.repr)
 
   (* ------------------------------------------------------------------ *)
   (* Element-level API                                                   *)
@@ -576,23 +529,12 @@ module Make (E : ELT) = struct
 
   let is_empty t = t.card = 0
   let cardinal t = t.card
-  let id t = t.uid
-  let hash t = t.h
   let mem x t = mem_idx (E.index x) t
 
-  let singleton_memo : (int, t) Hashtbl.t = Hashtbl.create 256
+  let singleton x = of_sorted_unique [| E.index x |]
 
-  let singleton x =
-    let i = E.index x in
-    match Hashtbl.find singleton_memo i with
-    | s -> s
-    | exception Not_found ->
-      let s = of_sorted_unique [| i |] in
-      Hashtbl.add singleton_memo i s;
-      s
-
-  (* A bitset is edited by the word. A small array keeps the union memo,
-     which answers the tag folds' repeated small additions. *)
+  (* A bitset is edited by the word; an array goes through [union] or
+     [diff] with the singleton. *)
   let add x t =
     let i = E.index x in
     if mem_idx i t then t

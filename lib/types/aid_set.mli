@@ -1,5 +1,5 @@
-(** Hash-consed dependency sets: the shared representation behind
-    [Aid.Set] and [Interval_id.Set].
+(** Dependency sets: the shared representation behind [Aid.Set] and
+    [Interval_id.Set].
 
     HOPE's cost model rides on dependency tagging: every speculative send
     unions the IDO sets of all live intervals, and every receive runs
@@ -15,18 +15,20 @@
       number into one order-preserving integer);
     - {b hybrid layout}: a sorted integer array while small, a bitset over
       the index space once large (dense element domains only);
-    - {b hash-consing}: structurally equal sets are physically equal, so
-      [equal] is a pointer comparison and every set carries a stable
-      {!S.id} usable as a cache stamp;
-    - {b memoized union}: the per-send cumulative-tag fold hits a cache
-      keyed by the operands' ids instead of rebuilding trees;
+    - {b canonical layout}: the layout is a pure function of the element
+      set, so [equal] compares layouts, O(words), with no table behind
+      it; sets are immutable values, so a cache can stamp a slot with the
+      set itself and test it with [==] (see [History.cumulative_ido]);
     - {b word-level edits}: adding or removing one element of a bitset
       copies its word array once and flips one bit — Replace handling
       (Figure 15) edits IDO and UDO sets one AID at a time;
-    - {b allocation-free queries}: [mem], [disjoint], [subset],
-      [inter_cardinal] and [fold_diff] walk arrays or words without
-      allocating; Replace handling (Figure 15) counts its cycle cuts and
-      finds its fresh candidates this way, by the word.
+    - {b allocation-free queries}: [mem], [disjoint] and [subset] walk
+      arrays or words without allocating, and [count_fold_diff] allocates
+      only its result; Replace handling (Figure 15) counts its cycle cuts
+      and finds its fresh candidates in its one pass, by the word.
+
+    The module holds no mutable state, so runtimes on different domains
+    can use it at once.
 
     Iteration order is ascending element order (the element's [compare]),
     exactly matching the [Set.Make] modules this replaces, so behaviour —
@@ -61,8 +63,8 @@ module type S = sig
   val mem : elt -> t -> bool
 
   val add : elt -> t -> t
-  (** [t] itself when already a member. On the array layout, a memoized
-      [union] with the singleton: O(n) on a memo miss. On the bitset
+  (** [t] itself when already a member. On the array layout, a [union]
+      with the singleton: O(n). On the bitset
       layout, one copy of the word array, widened when the element lies
       below the first or above the last word: O(span / 63) words, where
       the span runs from the least to the greatest member. *)
@@ -77,28 +79,27 @@ module type S = sig
       33 elements the result is the 32-element array layout. *)
 
   val union : t -> t -> t
-  (** Memoized on the operands' ids. A bitset joined with an array costs
-      one widened copy of the bitset's words, as [add] does. *)
+  (** A bitset joined with an array costs one widened copy of the
+      bitset's words, as [add] does. *)
 
   val inter : t -> t -> t
   val diff : t -> t -> t
 
-  val inter_cardinal : t -> t -> int
-  (** [inter_cardinal a b] is [cardinal (inter a b)], computed without
-      building the intersection: allocates nothing. Two bitsets cost one
-      AND and one word-at-a-time (SWAR) popcount per word where their
-      spans overlap; an array against either layout costs one membership
-      test per array element (a binary search, or one bit test against a
-      bitset). *)
-
-  val fold_diff : (elt -> 'acc -> 'acc) -> t -> t -> t -> 'acc -> 'acc
-  (** [fold_diff f a b c acc] folds [f] over the members of [a] that are in
-      neither [b] nor [c], in ascending order, without building
-      [diff a (union b c)]: it allocates nothing beyond what [f] does. On
-      the bitset layout each word of [a] is masked by the matching words
-      of [b] and [c] (an array's word is gathered by one binary search),
-      and [f] sees only the bits that survive: O(span(a) / 63) words plus
-      one call per visited member. On the array layout, two membership
+  val count_fold_diff :
+    (elt -> 'acc -> 'acc) -> t -> t -> t -> 'acc -> int * 'acc
+  (** [count_fold_diff f a b c acc] is
+      [(cardinal (inter a b), fold f (diff a (union b c)) acc)], computed in
+      one pass over [a] without building either set: it allocates nothing
+      beyond what [f] does and the result pair. [f] sees its members in
+      ascending order. On the bitset layout each word of [a] is masked by
+      the matching words of [b] and [c] (an array's word is gathered by
+      one binary search), and [f] sees only the bits that survive. The
+      members in [b] are counted by what [a] misses: [b]'s members within
+      [a]'s words, less a word-at-a-time (SWAR) popcount of each word of
+      [b] holding members the matching word of [a] lacks, so where [a]
+      holds [b] whole no popcount is paid. O(span(a) / 63) words, plus a
+      popcount per word of a bitset [b] outside [a]'s span, plus one call
+      per visited member. On the array layout, at most two membership
       tests per member of [a]. *)
 
   val disjoint : t -> t -> bool
@@ -108,11 +109,9 @@ module type S = sig
   (** [subset a b]: is [a] a subset of [b]? Allocation-free. *)
 
   val equal : t -> t -> bool
-  (** O(1) in practice: hash-consing makes structurally equal sets
-      physically equal. *)
-
-  val compare : t -> t -> int
-  (** A total order (lexicographic on sorted elements). *)
+  (** Structural: compares the two canonical layouts, O(1) when the
+      cardinals differ or the sets are physically equal, O(n) or
+      O(span / 63) words otherwise. *)
 
   val cardinal : t -> int
   (** O(1). *)
@@ -134,14 +133,6 @@ module type S = sig
   val choose_opt : t -> elt option
   val min_elt_opt : t -> elt option
 
-  val id : t -> int
-  (** The hash-consing identity: stable for the set's lifetime, equal ids
-      imply equal sets. Useful as an O(1) cache-validation stamp (see
-      [History.cumulative_ido]). *)
-
-  val hash : t -> int
-  (** O(1): the precomputed structural hash. *)
-
   val pp : Format.formatter -> t -> unit
   (** Renders as [{e1,e2,...}] in ascending order. *)
 end
@@ -149,10 +140,11 @@ end
 module Make (E : ELT) : S with type elt = E.t
 
 type stats = {
-  unions_memoized : int;  (** union calls answered from the memo table *)
-  unions_computed : int;  (** unions that had to build a new set *)
+  unions_memoized : int;
+  unions_computed : int;
 }
 
 val stats : unit -> stats
-(** Global (all instantiations) union-memoization counters, for the bench
-    harness. *)
+(** Always zero: unions are not memoized, so there is nothing to count.
+    It stays only because the end-to-end bench suite (hope_bench) still
+    reads it for its memo hit ratio, which now reads 0. *)

@@ -30,8 +30,8 @@ val of_index : int -> t
 (** The inverse of {!index}. *)
 
 module Set : Aid_set.S with type elt = t
-(** Hash-consed sets of interval ids (sorted-array layout, keyed by
-    {!index}; see {!Aid_set}). Iteration order matches {!compare}
-    (owner-major, then sequence number). *)
+(** Sets of interval ids (sorted-array layout, keyed by {!index}; see
+    {!Aid_set}). Iteration order matches {!compare} (owner-major, then
+    sequence number). *)
 
 module Map : Map.S with type key = t

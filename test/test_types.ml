@@ -95,11 +95,12 @@ let test_aid_set_pp () =
 
 (* --------------------------- Aid_set ------------------------------ *)
 
-(* The hash-consed hybrid sets (Aid_set) must agree with stdlib Set.Make
-   on every operation, across both layouts (sorted array <= 32 elements,
-   bitset beyond), and uphold the hash-consing identity: structurally
-   equal sets are physically equal with equal ids. Indices up to ~200 at
-   sizes up to ~120 exercise the layout switch and word boundaries. *)
+(* The hybrid sets (Aid_set) must agree with stdlib Set.Make on every
+   operation, across both layouts (sorted array <= 32 elements, bitset
+   beyond), and keep the layout canonical: sets with the same elements,
+   however built, have the same layout, which [Aid.Set.equal] compares.
+   Indices up to ~200 at sizes up to ~120 exercise the layout switch and
+   word boundaries. *)
 module Oracle = Set.Make (struct
   type t = Aid.t
 
@@ -126,15 +127,13 @@ let arbitrary_aid_lists =
 let same (s : Aid.Set.t) (o : Oracle.t) =
   List.equal Aid.equal (Aid.Set.elements s) (Oracle.elements o)
 
-(* [Aid.Set.fold_diff a b c] must visit exactly the elements of
-   a \ b \ c, in ascending order. *)
-let same_fold_diff a b c (o : Oracle.t) =
-  List.equal Aid.equal
-    (List.rev (Aid.Set.fold_diff (fun x acc -> x :: acc) a b c []))
-    (Oracle.elements o)
-
-let same_inter_cardinal a b oa ob =
-  Aid.Set.inter_cardinal a b = Oracle.cardinal (Oracle.inter oa ob)
+(* [Aid.Set.count_fold_diff f a b c] must count exactly the elements of
+   a ∩ b and visit exactly those of a \ b \ c, in ascending order. *)
+let same_count_fold_diff a b c oa ob oc =
+  let n, visited = Aid.Set.count_fold_diff (fun x acc -> x :: acc) a b c [] in
+  n = Oracle.cardinal (Oracle.inter oa ob)
+  && List.equal Aid.equal (List.rev visited)
+       (Oracle.elements (Oracle.diff (Oracle.diff oa ob) oc))
 
 let qcheck_aid_set_vs_oracle =
   QCheck.Test.make ~name:"aid set: union/inter/diff agree with Set.Make"
@@ -145,16 +144,15 @@ let qcheck_aid_set_vs_oracle =
       && same (Aid.Set.union s1 s2) (Oracle.union o1 o2)
       && same (Aid.Set.inter s1 s2) (Oracle.inter o1 o2)
       && same (Aid.Set.diff s1 s2) (Oracle.diff o1 o2)
-      && same_inter_cardinal s1 s2 o1 o2
-      && same_inter_cardinal s1 s1 o1 o1
-      && same_fold_diff s1 s2 Aid.Set.empty (Oracle.diff o1 o2)
-      && same_fold_diff s1 Aid.Set.empty s2 (Oracle.diff o1 o2)
+      && same_count_fold_diff s1 s2 Aid.Set.empty o1 o2 Oracle.empty
+      && same_count_fold_diff s1 s1 Aid.Set.empty o1 o1 Oracle.empty
+      && same_count_fold_diff s1 Aid.Set.empty s2 o1 Oracle.empty o2
       &&
       (* a third operand, half of each list *)
       let l3 = List.filteri (fun i _ -> i mod 2 = 0) (la @ lb) in
       let s3 = Aid.Set.of_list l3 and o3 = Oracle.of_list l3 in
-      same_fold_diff s1 s2 s3 (Oracle.diff (Oracle.diff o1 o2) o3)
-      && same_fold_diff s2 s3 s1 (Oracle.diff (Oracle.diff o2 o3) o1))
+      same_count_fold_diff s1 s2 s3 o1 o2 o3
+      && same_count_fold_diff s2 s3 s1 o2 o3 o1)
 
 let qcheck_aid_set_queries_vs_oracle =
   QCheck.Test.make ~name:"aid set: mem/disjoint/subset/equal agree with Set.Make"
@@ -171,19 +169,16 @@ let qcheck_aid_set_queries_vs_oracle =
            lb
       && List.for_all (fun x -> same (Aid.Set.add x s2) (Oracle.add x o2)) la)
 
-let qcheck_aid_set_hash_consing =
+let qcheck_aid_set_canonical =
   QCheck.Test.make
-    ~name:"aid set: structurally equal means physically equal (same id)"
+    ~name:"aid set: equal sets built three ways share one layout"
     ~count:1000 arbitrary_aid_lists (fun (la, lb) ->
-      (* Build the same element set through two different operation
-         sequences; hash-consing must yield the same physical node. *)
+      (* Build the same element set through three different operation
+         sequences; each must reach the layout of_list builds. *)
       let s1 = Aid.Set.of_list (la @ lb) in
       let s2 = Aid.Set.union (Aid.Set.of_list la) (Aid.Set.of_list lb) in
       let s3 = List.fold_left (fun acc x -> Aid.Set.add x acc) (Aid.Set.of_list lb) la in
-      s1 == s2 && s1 == s3
-      && Aid.Set.id s1 = Aid.Set.id s2
-      && Aid.Set.id s1 = Aid.Set.id s3
-      && Aid.Set.equal s1 s2)
+      Aid.Set.equal s1 s2 && Aid.Set.equal s1 s3)
 
 let qcheck_aid_set_fold_order =
   QCheck.Test.make ~name:"aid set: iteration order matches Set.Make" ~count:500
@@ -200,7 +195,7 @@ let qcheck_aid_set_fold_order =
    cluster around a few centres up to ~5,000, so a bitset spans up to ~80
    words with empty runs between clusters, and single adds and removes
    land below the first word, above the last, and on a word's only bit.
-   Every edit must agree with Set.Make and yield the very node [of_list]
+   Every edit must agree with Set.Make and yield the layout [of_list]
    builds for the same elements. *)
 let clustered_idx centres =
   QCheck.Gen.(
@@ -224,7 +219,7 @@ let arbitrary_clustered =
     clustered_gen
 
 let idx_set l = Aid.Set.of_list (List.map aid_of_int l)
-let canonical s o = s == Aid.Set.of_list (Oracle.elements o)
+let canonical s o = Aid.Set.equal s (Aid.Set.of_list (Oracle.elements o))
 
 let qcheck_aid_set_edits_vs_oracle =
   QCheck.Test.make
@@ -239,9 +234,8 @@ let qcheck_aid_set_edits_vs_oracle =
       in
       same s o
       && Aid.Set.for_all (fun x -> Oracle.mem x o) s
-      && same_inter_cardinal s p o op
-      && same_fold_diff s p Aid.Set.empty (Oracle.diff o op)
-      && same_fold_diff p s Aid.Set.empty (Oracle.diff op o)
+      && same_count_fold_diff s p Aid.Set.empty o op Oracle.empty
+      && same_count_fold_diff p s Aid.Set.empty op o Oracle.empty
       && List.for_all
            (fun x ->
              let added = Aid.Set.add x s and removed = Aid.Set.remove x s in
@@ -252,14 +246,14 @@ let qcheck_aid_set_edits_vs_oracle =
              && Aid.Set.min_elt_opt removed = Oracle.min_elt_opt orm
              && Aid.Set.exists (Aid.equal x) added
              && (not (Aid.Set.exists (Aid.equal x) removed))
-             && same_inter_cardinal added removed oa orm
-             && same_inter_cardinal removed h orm oh
-             && same_fold_diff added h p (Oracle.diff (Oracle.diff oa oh) op)
-             && same_fold_diff removed p h (Oracle.diff (Oracle.diff orm op) oh))
+             && same_count_fold_diff added removed Aid.Set.empty oa orm Oracle.empty
+             && same_count_fold_diff removed h Aid.Set.empty orm oh Oracle.empty
+             && same_count_fold_diff added h p oa oh op
+             && same_count_fold_diff removed p h orm op oh)
            (List.map aid_of_int probes @ ends))
 
-(* Hash-consing identity along chains of edits: after every add or remove
-   the set is the node [of_list] builds for the oracle's elements. *)
+(* Canonical layout along chains of edits: after every add or remove the
+   set equals the one [of_list] builds for the oracle's elements. *)
 let arbitrary_chain =
   QCheck.make
     ~print:(fun (m, ops) ->
@@ -275,9 +269,9 @@ let arbitrary_chain =
       in
       return (members, ops))
 
-let qcheck_aid_set_hash_consing_chains =
+let qcheck_aid_set_canonical_chains =
   QCheck.Test.make
-    ~name:"aid set: add/remove chains stay physically equal to of_list"
+    ~name:"aid set: add/remove chains stay equal to of_list"
     ~count:300 arbitrary_chain (fun (members, ops) ->
       let s0 = idx_set members and o0 = Oracle.of_list (List.map aid_of_int members) in
       let _, _, ok =
@@ -301,7 +295,8 @@ let test_aid_set_edit_edges () =
   let ints s = List.map (fun a -> Proc_id.to_int (Aid.to_proc a)) (Aid.Set.elements s) in
   let check name s l =
     Alcotest.(check (list int)) name (List.sort_uniq compare l) (ints s);
-    Alcotest.(check bool) (name ^ ": the of_list node") true (s == idx_set l)
+    Alcotest.(check bool) (name ^ ": the of_list layout") true
+      (Aid.Set.equal s (idx_set l))
   in
   let add i s = Aid.Set.add (aid_of_int i) s and remove i s = Aid.Set.remove (aid_of_int i) s in
   let evens lo n = List.init n (fun k -> lo + (2 * k)) in
@@ -310,8 +305,8 @@ let test_aid_set_edit_edges () =
   check "add below the first word" (add 10 s) (10 :: mid);
   check "add above the last word" (add 4990 s) (mid @ [ 4990 ]);
   check "add inside a word" (add 2001 s) (2001 :: mid);
-  Alcotest.(check bool) "add then remove is the same node" true
-    (remove 4990 (add 4990 s) == s);
+  Alcotest.(check bool) "add then remove is the same set" true
+    (Aid.Set.equal (remove 4990 (add 4990 s)) s);
   check "remove the first word's only bit" (remove 100 (idx_set (100 :: mid))) mid;
   check "remove the last word's only bit" (remove 4900 (idx_set (mid @ [ 4900 ]))) mid;
   check "remove an interior bit" (remove 2040 s) (List.filter (( <> ) 2040) mid);
@@ -404,10 +399,10 @@ let () =
         [
           QCheck_alcotest.to_alcotest qcheck_aid_set_vs_oracle;
           QCheck_alcotest.to_alcotest qcheck_aid_set_queries_vs_oracle;
-          QCheck_alcotest.to_alcotest qcheck_aid_set_hash_consing;
+          QCheck_alcotest.to_alcotest qcheck_aid_set_canonical;
           QCheck_alcotest.to_alcotest qcheck_aid_set_fold_order;
           QCheck_alcotest.to_alcotest qcheck_aid_set_edits_vs_oracle;
-          QCheck_alcotest.to_alcotest qcheck_aid_set_hash_consing_chains;
+          QCheck_alcotest.to_alcotest qcheck_aid_set_canonical_chains;
           test "aid set: layout edges of one-element edits" test_aid_set_edit_edges;
           QCheck_alcotest.to_alcotest qcheck_interval_id_set_order;
         ] );

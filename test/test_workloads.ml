@@ -276,6 +276,56 @@ let test_phold_bitset_cuts_pinned () =
   Alcotest.(check string)
     "explain digest" "7ad345290a0475c80b00aede1b7e34d2" (explain_digest rt)
 
+(* Two runtimes on two domains at once: hope_bench's phold-hope shape (4
+   LPs, 8 jobs, horizon 15, LAN) and its callstream-wan shape (120
+   sections, WAN, optimistic), released together by a start barrier.
+   Each must reproduce its sequential run, by the fingerprint hope_bench
+   prints plus the explain digest: the runtimes share no mutable state.
+   Both shapes are kept whole (about a second a round); much smaller runs
+   rarely overlap long enough to expose a shared table. *)
+let phold_hope_shape =
+  { Phold.default_params with n_lps = 4; jobs = 8; horizon = 15.0; latency = Latency.lan }
+
+let callstream_wan_shape = { Report.default_params with sections = 120; page_size = 20 }
+
+let phold_hope_fingerprint () =
+  let rt = ref None in
+  let o = Phold.run_hope ~seed:42 ~on_setup:(fun r -> rt := Some r) phold_hope_shape in
+  Printf.sprintf "time=%h processed=%d rollbacks=%d messages=%d explain=%s"
+    o.Phold.physical_time o.processed o.rollbacks o.messages
+    (explain_digest (Option.get !rt))
+
+let callstream_wan_fingerprint () =
+  let digest = ref "" in
+  let r =
+    Report.run ~seed:42 ~latency:Latency.wan ~mode:`Optimistic
+      ~on_quiescence:(fun rt -> digest := explain_digest rt)
+      callstream_wan_shape
+  in
+  Printf.sprintf "completion=%h rollbacks=%d messages=%d guesses=%d explain=%s"
+    r.Report.completion_time r.rollbacks r.messages r.guesses !digest
+
+let test_two_runtimes_two_domains () =
+  let phold_seq = phold_hope_fingerprint () in
+  let callstream_seq = callstream_wan_fingerprint () in
+  for round = 1 to 3 do
+    let arrived = Atomic.make 0 in
+    let after_barrier f () =
+      Atomic.incr arrived;
+      while Atomic.get arrived < 2 do
+        Domain.cpu_relax ()
+      done;
+      f ()
+    in
+    let other = Domain.spawn (after_barrier phold_hope_fingerprint) in
+    let callstream = after_barrier callstream_wan_fingerprint () in
+    let phold = Domain.join other in
+    Alcotest.(check string) (Printf.sprintf "round %d: phold-hope" round) phold_seq phold;
+    Alcotest.(check string)
+      (Printf.sprintf "round %d: callstream-wan" round)
+      callstream_seq callstream
+  done
+
 let test_job_routing_deterministic () =
   let j = { Job.job_id = 3; hop = 7 } in
   let a = Job.route ~n_lps:8 ~mean_delay:1.0 ~remote_prob:0.5 ~from_lp:2 j in
@@ -482,5 +532,10 @@ let () =
           test "deterministic" test_occ_deterministic;
           test "hybrid escalates under skew" test_occ_hybrid_escalates_under_skew;
           test "hybrid idle at uniform load" test_occ_hybrid_idle_at_uniform_load;
+        ] );
+      ( "domains",
+        [
+          test "two runtimes on two domains match their sequential runs"
+            test_two_runtimes_two_domains;
         ] );
     ]
