@@ -581,11 +581,11 @@ let run ?(seed = 42) ?(policy = Policy.default) ?(max_events = 200_000)
        rebuilt live speculation between them. *)
     List.iter
       (fun at ->
-        ignore
-          (Engine.schedule_at w.engine ~at (fun eng ->
-               if inject_corruption w finite > 0 then
-                 last_injection := Engine.now eng)
-            : Engine.handle))
+        Engine.schedule_call_at w.engine ~at
+          (fun eng _ _ ->
+            if inject_corruption w finite > 0 then
+              last_injection := Engine.now eng)
+          0 0)
       [ 5e-3; 15e-3; 25e-3 ]
   | _ -> ());
   let stop = Scheduler.run ~max_events w.sched in

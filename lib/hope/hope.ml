@@ -46,7 +46,6 @@ module Runtime = Hope_core.Runtime
 module Engine = Hope_sim.Engine
 module Latency = Hope_net.Latency
 module Network = Hope_net.Network
-module Topology = Hope_net.Topology
 
 module World = Hope_core.World
 (** Engine, scheduler and runtime in one call, plus the drivers' shared

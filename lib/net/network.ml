@@ -4,11 +4,6 @@ module Vec = Hope_sim.Vec
 
 type addr = int
 
-type 'a endpoint = {
-  mutable handler : (src:addr -> 'a -> unit) option;
-  mutable backlog : (addr * 'a) list;  (** reversed send order *)
-}
-
 (* FIFO floor per ordered addr pair. A single-float record is an unboxed
    float record, so the per-send [c.fl <- a] store allocates nothing
    (a float directly in the Hashtbl would be re-boxed on every store). *)
@@ -32,12 +27,10 @@ type 'a t = {
   rng : Rng.t;
   default_latency : Latency.t;
   fifo : bool;
-  dummy : 'a option;
+  dummy : 'a;  (** fills every batch slot that holds no pending payload *)
   mutable nodes : int array;  (** node per addr; dense, default 0 *)
   links : (int, Latency.t) Hashtbl.t;  (** keyed by packed node pair *)
-  endpoints : (addr, 'a endpoint) Hashtbl.t;
-  mutable on_deliver : (dst:addr -> src:addr -> 'a -> unit) option;
-      (** single routing dispatcher; overrides per-addr endpoints *)
+  mutable on_deliver : dst:addr -> src:addr -> 'a -> unit;
   last_delivery : (int, cell) Hashtbl.t;  (** keyed by packed addr pair *)
   batches : 'a batch Vec.t;
   mutable btimes : float array;  (** arrival time per batch id *)
@@ -58,21 +51,11 @@ let pack a b = (a lsl 31) lor b
 
 let prune_interval = 1024
 
-let deliver t ~src ~dst payload =
-  t.delivered <- t.delivered + 1;
-  match t.on_deliver with
-  | Some h -> h ~dst ~src payload
-  | None -> (
-    let e =
-      try Hashtbl.find t.endpoints dst
-      with Not_found ->
-        let e = { handler = None; backlog = [] } in
-        Hashtbl.add t.endpoints dst e;
-        e
-    in
-    match e.handler with
-    | Some handler -> handler ~src payload
-    | None -> e.backlog <- (src, payload) :: e.backlog)
+(* The dispatcher until [set_dispatcher] installs one: a payload with
+   nowhere to go is a wiring error, not something to hold on to. *)
+let no_dispatcher ~dst ~src:_ _ =
+  invalid_arg
+    (Printf.sprintf "Network: delivery to address %d before set_dispatcher" dst)
 
 let run_batch t id =
   (* A fired batch is no longer a coalescing target: later sends at the
@@ -81,16 +64,15 @@ let run_batch t id =
   let b = Vec.get t.batches id in
   let n = b.b_n in
   for i = 0 to n - 1 do
-    deliver t ~src:b.b_srcs.(i) ~dst:b.b_dst b.b_pays.(i)
+    t.delivered <- t.delivered + 1;
+    t.on_deliver ~dst:b.b_dst ~src:b.b_srcs.(i) b.b_pays.(i)
   done;
-  (match t.dummy with
-  | Some d -> Array.fill b.b_pays 0 b.b_n d
-  | None -> b.b_pays <- [||]);
+  Array.fill b.b_pays 0 n t.dummy;
   b.b_n <- 0;
   b.b_free_next <- t.free_batch;
   t.free_batch <- id
 
-let create ~engine ?(default_latency = Latency.lan) ?(fifo = true) ?dummy () =
+let create ~engine ?(default_latency = Latency.lan) ?(fifo = true) ~dummy () =
   let t =
     {
       engine;
@@ -100,8 +82,7 @@ let create ~engine ?(default_latency = Latency.lan) ?(fifo = true) ?dummy () =
       dummy;
       nodes = [||];
       links = Hashtbl.create 16;
-      endpoints = Hashtbl.create 16;
-      on_deliver = None;
+      on_deliver = no_dispatcher;
       last_delivery = Hashtbl.create 16;
       batches = Vec.create ();
       btimes = [||];
@@ -130,28 +111,14 @@ let place t addr ~node =
 
 let node_of t addr = if addr < Array.length t.nodes then t.nodes.(addr) else 0
 
-let set_dispatcher t h = t.on_deliver <- Some h
+let set_dispatcher t h = t.on_deliver <- h
 
 let set_link t ~src ~dst latency = Hashtbl.replace t.links (pack src dst) latency
-
-let endpoint t addr =
-  try Hashtbl.find t.endpoints addr
-  with Not_found ->
-    let e = { handler = None; backlog = [] } in
-    Hashtbl.add t.endpoints addr e;
-    e
 
 let latency_between t ~src ~dst =
   let ns = node_of t src and nd = node_of t dst in
   try Hashtbl.find t.links (pack ns nd)
   with Not_found -> if ns = nd then Latency.local else t.default_latency
-
-let attach t addr handler =
-  let e = endpoint t addr in
-  e.handler <- Some handler;
-  let pending = List.rev e.backlog in
-  e.backlog <- [];
-  List.iter (fun (src, payload) -> handler ~src payload) pending
 
 let grow_btimes t id =
   let capacity = max 16 (2 * Array.length t.btimes) in
@@ -173,7 +140,13 @@ let alloc_batch t ~dst ~time =
     else begin
       let id = Vec.length t.batches in
       Vec.push t.batches
-        { b_dst = dst; b_srcs = Array.make 4 0; b_pays = [||]; b_n = 0; b_free_next = -1 };
+        {
+          b_dst = dst;
+          b_srcs = Array.make 4 0;
+          b_pays = Array.make 4 t.dummy;
+          b_n = 0;
+          b_free_next = -1;
+        };
       if id >= Array.length t.btimes then grow_btimes t id;
       id
     end
@@ -181,16 +154,15 @@ let alloc_batch t ~dst ~time =
   t.btimes.(id) <- time;
   id
 
-let batch_append b src payload =
+(* The two columns grow together, and a payload slot past [b_n] holds the
+   dummy, so only undelivered payloads are reachable from the pool. *)
+let batch_append t b src payload =
   let n = b.b_n in
   if n = Array.length b.b_srcs then begin
-    let srcs = Array.make (2 * n) 0 in
+    let srcs = Array.make (2 * n) 0 and pays = Array.make (2 * n) t.dummy in
     Array.blit b.b_srcs 0 srcs 0 n;
-    b.b_srcs <- srcs
-  end;
-  if n >= Array.length b.b_pays then begin
-    let pays = Array.make (max 4 (2 * Array.length b.b_pays)) payload in
     Array.blit b.b_pays 0 pays 0 n;
+    b.b_srcs <- srcs;
     b.b_pays <- pays
   end;
   b.b_srcs.(n) <- src;
@@ -241,11 +213,11 @@ let send t ~src ~dst payload =
        would pop immediately after it among equal priorities, and
        appending to the batch delivers in exactly that order. *)
     t.coalesced <- t.coalesced + 1;
-    batch_append (Vec.get t.batches lb) src payload
+    batch_append t (Vec.get t.batches lb) src payload
   end
   else begin
     let id = alloc_batch t ~dst ~time:arrival in
-    batch_append (Vec.get t.batches id) src payload;
+    batch_append t (Vec.get t.batches id) src payload;
     Engine.schedule_call_at t.engine ~at:arrival t.disp id 0;
     t.last_batch <- id;
     t.last_seq <- Engine.sched_seq t.engine

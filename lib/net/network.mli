@@ -22,16 +22,16 @@ val create :
   engine:Hope_sim.Engine.t ->
   ?default_latency:Latency.t ->
   ?fifo:bool ->
-  ?dummy:'a ->
+  dummy:'a ->
   unit ->
   'a t
-(** [create ~engine ()] makes a network. [default_latency] (default
-    {!Latency.lan}) applies to cross-node pairs without an explicit link;
-    [fifo] (default [true]) enforces per-pair FIFO delivery. [dummy], if
-    given, is a sentinel payload used to scrub dispatched delivery-batch
-    slots so delivered payloads don't stay reachable through the batch
-    pool; without it the pool drops its payload arrays instead (correct
-    but re-allocating). *)
+(** [create ~engine ~dummy ()] makes a network. [default_latency]
+    (default {!Latency.lan}) applies to cross-node pairs without an
+    explicit link; [fifo] (default [true]) enforces per-pair FIFO
+    delivery. [dummy] is a sentinel payload written over each
+    delivery-batch slot once it is dispatched, so a delivered payload
+    does not stay reachable through the batch pool. Install a dispatcher
+    with {!set_dispatcher} before the first delivery fires. *)
 
 val place : 'a t -> addr -> node:int -> unit
 (** Assign an endpoint to a node. Unplaced endpoints live on node 0. *)
@@ -42,24 +42,18 @@ val set_link : 'a t -> src:int -> dst:int -> Latency.t -> unit
 (** Override latency for the ordered node pair [(src, dst)]. *)
 
 val set_dispatcher : 'a t -> (dst:addr -> src:addr -> 'a -> unit) -> unit
-(** Install a single routing dispatcher: every delivery is handed to it
-    (with the destination address made explicit) instead of the per-addr
-    endpoint table. For owners that already know how to route by address
-    — the scheduler's dense entity table — this replaces one closure plus
-    one endpoint record per attached entity with one closure per network.
-    Per-addr {!attach} handlers and backlogs are bypassed while a
-    dispatcher is installed. *)
-
-val attach : 'a t -> addr -> (src:addr -> 'a -> unit) -> unit
-(** Register the delivery callback for an endpoint. Messages sent to an
-    endpoint before it attaches are buffered and flushed on attach, in
-    send order. Re-attaching replaces the callback. *)
+(** Install the routing dispatcher: every delivery is handed to it, with
+    its destination address, and the dispatcher routes by address (the
+    scheduler looks the destination up in its dense entity table).
+    Replaces any previous dispatcher. Until one is installed, a delivery
+    raises [Invalid_argument] naming its destination address, out of
+    {!Hope_sim.Engine.run}. *)
 
 val send : 'a t -> src:addr -> dst:addr -> 'a -> unit
 (** Asynchronously deliver a payload. Returns immediately. *)
 
 val in_flight : 'a t -> int
-(** Messages sent but not yet delivered to a callback. *)
+(** Messages sent but not yet handed to the dispatcher. *)
 
 val messages_sent : 'a t -> int
 val messages_delivered : 'a t -> int

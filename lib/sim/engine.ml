@@ -17,26 +17,18 @@ type t = {
   mutable on_sample : t -> unit;
 }
 
-(* A pooled event record. The two payload arms mirror how the spine is
-   used: [Closure] (kind 1) is the general fallback — a captured thunk,
-   as the pre-pool engine always did — while [Call] (kind 2) carries a
-   long-lived dispatcher plus two immediate ints, which is how the
-   network (delivery batches) and the scheduler (process resumption)
-   schedule without allocating a closure per event. Records cycle
-   through the free list; [gen] invalidates handles to recycled
-   records. *)
+(* A pooled event record: a dispatcher plus its two immediate arguments.
+   The network passes its delivery entry point and a batch id, the
+   scheduler its resume entry point and a pid, so the hot paths schedule
+   without allocating a closure per event; a one-off caller passes its
+   own closure and ignores the ints. Records cycle through the free
+   list. *)
 and event = {
-  mutable kind : int;  (** 0 free / 1 closure / 2 call *)
-  mutable fn : t -> unit;
   mutable call : t -> int -> int -> unit;
   mutable i1 : int;
   mutable i2 : int;
-  mutable gen : int;
-  mutable cancelled : bool;
   mutable next_free : event;
 }
-
-type handle = { h_ev : event; h_gen : int }
 
 type stop_reason = Quiescent | Time_limit | Event_limit | Stopped
 
@@ -45,17 +37,7 @@ let nop_call (_ : t) (_ : int) (_ : int) = ()
 
 (* Shared sentinel: terminates free lists and fills vacated queue slots,
    so popped events hold nothing reachable. Never scheduled. *)
-let rec nil_event =
-  {
-    kind = 0;
-    fn = nop_fn;
-    call = nop_call;
-    i1 = 0;
-    i2 = 0;
-    gen = 0;
-    cancelled = false;
-    next_free = nil_event;
-  }
+let rec nil_event = { call = nop_call; i1 = 0; i2 = 0; next_free = nil_event }
 
 (* Synthetic process id for events the engine itself emits. *)
 let engine_proc = Hope_types.Proc_id.of_int (-1)
@@ -110,16 +92,7 @@ let alloc t =
   let ev = t.free in
   if ev == nil_event then begin
     t.pool_allocated <- t.pool_allocated + 1;
-    {
-      kind = 0;
-      fn = nop_fn;
-      call = nop_call;
-      i1 = 0;
-      i2 = 0;
-      gen = 0;
-      cancelled = false;
-      next_free = nil_event;
-    }
+    { call = nop_call; i1 = 0; i2 = 0; next_free = nil_event }
   end
   else begin
     t.free <- ev.next_free;
@@ -128,17 +101,13 @@ let alloc t =
     ev
   end
 
-(* Clearing every field is what makes the pool leak-free: a fired event
+(* Clearing the dispatcher is what makes the pool leak-free: a fired event
    must not keep its closure (and whatever the closure captured — an
    envelope, a continuation) alive until the record is next reused. *)
 let release t ev =
-  ev.kind <- 0;
-  ev.fn <- nop_fn;
   ev.call <- nop_call;
   ev.i1 <- 0;
   ev.i2 <- 0;
-  ev.cancelled <- false;
-  ev.gen <- ev.gen + 1;
   ev.next_free <- t.free;
   t.free <- ev;
   t.pool_free <- t.pool_free + 1
@@ -148,28 +117,12 @@ let pool_free t = t.pool_free
 
 (* --------------------------- scheduling ---------------------------- *)
 
-let schedule_at t ~at f =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule_at: at=%g is before now=%g" at t.clock);
-  let ev = alloc t in
-  ev.kind <- 1;
-  ev.fn <- f;
-  let h = { h_ev = ev; h_gen = ev.gen } in
-  Equeue.push t.queue ~priority:at ev;
-  h
-
-let schedule t ~delay f =
-  if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  schedule_at t ~at:(t.clock +. delay) f
-
 let schedule_call_at t ~at call i1 i2 =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule_call_at: at=%g is before now=%g" at
          t.clock);
   let ev = alloc t in
-  ev.kind <- 2;
   ev.call <- call;
   ev.i1 <- i1;
   ev.i2 <- i2;
@@ -180,8 +133,6 @@ let schedule_call t ~delay call i1 i2 =
   schedule_call_at t ~at:(t.clock +. delay) call i1 i2
 
 let sched_seq t = Equeue.next_seq t.queue
-
-let cancel h = if h.h_ev.gen = h.h_gen then h.h_ev.cancelled <- true
 
 let stop t = t.stop_requested <- true
 
@@ -215,19 +166,14 @@ let run ?until ?max_events t =
         (* Read the payload out, then recycle the record before running
            it: the handler may schedule (and the pool may hand this
            record back out) — by then we no longer touch it. *)
-        let kind = ev.kind in
-        let fn = ev.fn in
         let call = ev.call in
         let i1 = ev.i1 in
         let i2 = ev.i2 in
-        let cancelled = ev.cancelled in
         release t ev;
-        if not cancelled then begin
-          t.clock <- at;
-          t.executed <- t.executed + 1;
-          if kind = 1 then fn t else call t i1 i2;
-          if t.clock >= t.next_sample then fire_sampler t
-        end;
+        t.clock <- at;
+        t.executed <- t.executed + 1;
+        call t i1 i2;
+        if t.clock >= t.next_sample then fire_sampler t;
         loop ()
       end
     end

@@ -2,18 +2,16 @@
 
     The engine owns the virtual clock, the event queue, the root RNG, the
     metrics registry, and the observability recorder. Components schedule
-    thunks at future virtual times; {!run} pops events in timestamp order
-    (FIFO among equal timestamps) until quiescence or a limit. All model
-    time is in seconds.
+    a dispatcher and two integer arguments at a future virtual time;
+    {!run} pops events in timestamp order (FIFO among equal timestamps)
+    and calls each dispatcher until quiescence or a limit. All model time
+    is in seconds.
 
     Determinism contract: given equal seeds and equal scheduling calls, runs
     are bit-for-bit identical. Nothing in the engine reads wall-clock time
     or OS randomness. *)
 
 type t
-
-type handle
-(** A cancellable reference to a scheduled event. *)
 
 type stop_reason =
   | Quiescent  (** the event queue drained *)
@@ -45,22 +43,15 @@ val emit : t -> Hope_obs.Event.payload -> unit
     acting process should use {!Hope_obs.Recorder.emit} with
     [~time:(now t)] instead. *)
 
-val schedule : t -> delay:float -> (t -> unit) -> handle
-(** [schedule t ~delay f] runs [f] at [now t +. delay]. [delay] must be
-    non-negative. @raise Invalid_argument on a negative delay. *)
-
-val schedule_at : t -> at:float -> (t -> unit) -> handle
-(** [schedule_at t ~at f] runs [f] at absolute time [at >= now t].
-    @raise Invalid_argument if [at] is in the past. *)
-
 val schedule_call : t -> delay:float -> (t -> int -> int -> unit) -> int -> int -> unit
 (** [schedule_call t ~delay disp i1 i2] runs [disp t i1 i2] at
-    [now t +. delay]. The direct-dispatch arm of the event spine: [disp]
-    is a long-lived dispatcher (the network's delivery entry point, the
-    scheduler's resume entry point) and [i1]/[i2] are its immediate
-    arguments, so scheduling allocates nothing once the pool is warm.
-    Not cancellable — dispatchers guard staleness themselves (generation
-    counters). @raise Invalid_argument on a negative delay. *)
+    [now t +. delay]. A shared dispatcher (the network's delivery entry
+    point, the scheduler's resume entry point) with its arguments in
+    [i1]/[i2] schedules without allocating once the pool is warm; a
+    one-off caller may pass a fresh closure and ignore the ints. Events
+    cannot be cancelled: a dispatcher that may fire stale checks a
+    generation counter of its own. The record drops [disp] when it
+    fires. @raise Invalid_argument on a negative delay. *)
 
 val schedule_call_at : t -> at:float -> (t -> int -> int -> unit) -> int -> int -> unit
 (** Absolute-time variant of {!schedule_call}.
@@ -71,10 +62,6 @@ val sched_seq : t -> int
     scheduled event will take). Lets callers detect that nothing was
     scheduled between two of their own calls — {!Hope_net.Network} uses
     this to coalesce same-tick deliveries without risking reordering. *)
-
-val cancel : handle -> unit
-(** Cancel a pending event; cancelling a fired or cancelled event is a
-    no-op. *)
 
 val run : ?until:float -> ?max_events:int -> t -> stop_reason
 (** Pop and execute events until one of the stop conditions holds. May be
@@ -100,8 +87,7 @@ val events_processed : t -> int
 (** Total events executed since {!create}. *)
 
 val pending_events : t -> int
-(** Events currently queued (cancelled events may be counted until they
-    surface). *)
+(** Events currently queued. *)
 
 val pool_allocated : t -> int
 (** Event records ever allocated by the pool — bounded by the peak number

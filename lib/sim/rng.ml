@@ -32,8 +32,6 @@ let m2_lo = 0x133111EB
 let create ~seed =
   { hi = (seed asr 32) land mask32; lo = seed land mask32; z_hi = 0; z_lo = 0 }
 
-let copy t = { hi = t.hi; lo = t.lo; z_hi = 0; z_lo = 0 }
-
 (* z ^= z >>> n, for 0 < n < 32. *)
 let xorshift t n =
   let zhi = t.z_hi and zlo = t.z_lo in
@@ -77,17 +75,6 @@ let bits64 t =
 let split t =
   advance t;
   { hi = t.z_hi; lo = t.z_lo; z_hi = 0; z_lo = 0 }
-
-let split_n t n =
-  if n < 0 then invalid_arg "Rng.split_n: negative count";
-  if n = 0 then [||]
-  else begin
-    let a = Array.make n t in
-    for i = 0 to n - 1 do
-      a.(i) <- split t
-    done;
-    a
-  end
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";

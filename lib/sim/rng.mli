@@ -17,16 +17,6 @@ val split : t -> t
 (** [split t] derives a new generator from [t]'s stream. The two streams
     are statistically independent; [t] advances by one draw. *)
 
-val split_n : t -> int -> t array
-(** [split_n t n] derives [n] independent generators by repeated
-    {!split}: child [i] is seeded by the [(i+1)]-th draw of [t]'s
-    stream, so child [i] depends only on the parent seed and [i] —
-    never on [n] or on the order the children are used. [t] advances
-    by [n] draws. @raise Invalid_argument if [n < 0]. *)
-
-val copy : t -> t
-(** [copy t] duplicates the current state (same future stream). *)
-
 val bits64 : t -> int64
 (** Next raw 64-bit output. *)
 

@@ -123,10 +123,9 @@ let rec kick t lp =
       lp.busy <- Some m;
       lp.gen <- lp.gen + 1;
       let gen = lp.gen in
-      ignore
-        (Engine.schedule t.eng ~delay:t.cfg.event_cost (fun _ ->
-             if lp.gen = gen then complete t lp m)
-          : Engine.handle)
+      Engine.schedule_call t.eng ~delay:t.cfg.event_cost
+        (fun _ _ _ -> if lp.gen = gen then complete t lp m)
+        0 0
   end
 
 (* Cancel the in-progress event execution, if any. *)
@@ -162,8 +161,7 @@ and send_event t ~src_lp ~dst ~send_ts ~recv_ts payload =
   t.s_messages <- t.s_messages + 1;
   Hashtbl.replace t.in_flight m.mid m.recv_ts;
   let delay = Latency.sample t.cfg.physical_latency t.rng in
-  ignore
-    (Engine.schedule t.eng ~delay (fun _ -> deliver_pos t m) : Engine.handle);
+  Engine.schedule_call t.eng ~delay (fun _ _ _ -> deliver_pos t m) 0 0;
   m
 
 (* Roll an LP back so that every processed entry with key >= [upto] is
@@ -198,8 +196,7 @@ and send_anti t m =
   t.s_anti <- t.s_anti + 1;
   Hashtbl.replace t.in_flight (-m.mid - 1) m.recv_ts;
   let delay = Latency.sample t.cfg.physical_latency t.rng in
-  ignore
-    (Engine.schedule t.eng ~delay (fun _ -> deliver_neg t m) : Engine.handle)
+  Engine.schedule_call t.eng ~delay (fun _ _ _ -> deliver_neg t m) 0 0
 
 and deliver_pos t m =
   Hashtbl.remove t.in_flight m.mid;

@@ -604,6 +604,40 @@ let test_corruption_recovery () =
         (o.Adversary.recovery_vtime > 0.0))
     [ false; true ]
 
+(* The corruption scenario's full outcome, pinned governed and not: its
+   three injection waves are engine events, so when they fire and what
+   they forge decide every field below (floats compared exactly). *)
+let test_corruption_outcome_pinned () =
+  List.iter
+    (fun governed ->
+      let outcome = Alcotest.testable Adversary.pp_outcome ( = ) in
+      Alcotest.check outcome "outcome"
+        {
+            Adversary.scenario = "corruption";
+            governed;
+            quiesced = true;
+            legal = true;
+            consistent = true;
+            events = 1877;
+            makespan = 0x1.ef5419290bebp-6;
+            guesses = 159;
+            finalized = 129;
+            rolled_back = 9;
+            gated = 0;
+            send_stalls = 0;
+            forced_cuts = 0;
+            diagnostics = 0;
+            bounce_flagged = false;
+            peak_open = 49;
+            recovery_vtime = 0x1.56e9fe3dc9458p-8;
+            compactions = 2;
+            arrivals_reclaimed = 113;
+            escalations = 0;
+            acquire_waits = 0;
+        }
+        (Adversary.run ~governed Adversary.Corruption))
+    [ false; true ]
+
 let test_flash_crowd_backpressure () =
   let off = Adversary.run ~governed:false Adversary.Flash_crowd in
   let on_ = Adversary.run ~governed:true Adversary.Flash_crowd in
@@ -725,6 +759,7 @@ let () =
           test "fixed-seed determinism" test_adversary_deterministic;
           test "hostile oracle" test_hostile_oracle;
           test "corruption recovery" test_corruption_recovery;
+          test "corruption outcome pinned" test_corruption_outcome_pinned;
           test "flash crowd back-pressure" test_flash_crowd_backpressure;
           test "compaction stress" test_compaction_stress;
           test "contention storm escalates" test_contention_storm;

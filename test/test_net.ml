@@ -68,39 +68,40 @@ let test_latency_wan_matches_paper () =
 
 (* ----------------------------- Network ---------------------------- *)
 
-let make_net ?default_latency ?fifo () =
+let make_net ?default_latency ?fifo ~dummy () =
   let engine = Engine.create ~seed:9 () in
-  (engine, Network.create ~engine ?default_latency ?fifo ())
+  (engine, Network.create ~engine ?default_latency ?fifo ~dummy ())
 
 let test_network_delivers () =
-  let engine, net = make_net () in
+  let engine, net = make_net ~dummy:"" () in
   let got = ref [] in
-  Network.attach net 1 (fun ~src v -> got := (src, v) :: !got);
+  Network.set_dispatcher net (fun ~dst ~src v -> got := (dst, src, v) :: !got);
   Network.send net ~src:0 ~dst:1 "hello";
   ignore (Engine.run engine);
-  Alcotest.(check (list (pair int string))) "delivered" [ (0, "hello") ] !got;
+  Alcotest.(check (list (triple int int string))) "delivered" [ (1, 0, "hello") ]
+    !got;
   Alcotest.(check int) "sent" 1 (Network.messages_sent net);
   Alcotest.(check int) "delivered count" 1 (Network.messages_delivered net);
   Alcotest.(check int) "none in flight" 0 (Network.in_flight net)
 
-let test_network_backlog_before_attach () =
-  let engine, net = make_net () in
-  Network.send net ~src:0 ~dst:7 "early-1";
-  Network.send net ~src:0 ~dst:7 "early-2";
-  ignore (Engine.run engine);
-  let got = ref [] in
-  Network.attach net 7 (fun ~src:_ v -> got := v :: !got);
-  Alcotest.(check (list string)) "backlog flushed in order" [ "early-1"; "early-2" ]
-    (List.rev !got)
+(* A payload with no dispatcher to take it is a wiring error: the
+   delivery raises out of [Engine.run], naming its address. *)
+let test_network_no_dispatcher_raises () =
+  let engine, net = make_net ~dummy:"" () in
+  Network.send net ~src:0 ~dst:7 "early";
+  Alcotest.check_raises "delivery before set_dispatcher"
+    (Invalid_argument "Network: delivery to address 7 before set_dispatcher")
+    (fun () -> ignore (Engine.run engine : Engine.stop_reason))
 
 let test_network_fifo_per_pair () =
   let engine, net =
-    make_net ~default_latency:(Latency.Lognormal { median = 1e-3; sigma = 1.0 }) ()
+    make_net ~default_latency:(Latency.Lognormal { median = 1e-3; sigma = 1.0 })
+      ~dummy:0 ()
   in
   Network.place net 0 ~node:0;
   Network.place net 1 ~node:1;
   let got = ref [] in
-  Network.attach net 1 (fun ~src:_ v -> got := v :: !got);
+  Network.set_dispatcher net (fun ~dst:_ ~src:_ v -> got := v :: !got);
   for i = 1 to 50 do
     Network.send net ~src:0 ~dst:1 i
   done;
@@ -112,12 +113,12 @@ let test_network_non_fifo_can_reorder () =
   let engine, net =
     make_net ~fifo:false
       ~default_latency:(Latency.Lognormal { median = 1e-3; sigma = 1.5 })
-      ()
+      ~dummy:0 ()
   in
   Network.place net 0 ~node:0;
   Network.place net 1 ~node:1;
   let got = ref [] in
-  Network.attach net 1 (fun ~src:_ v -> got := v :: !got);
+  Network.set_dispatcher net (fun ~dst:_ ~src:_ v -> got := v :: !got);
   for i = 1 to 200 do
     Network.send net ~src:0 ~dst:1 i
   done;
@@ -128,7 +129,7 @@ let test_network_non_fifo_can_reorder () =
     (arrived <> List.init 200 (fun i -> i + 1))
 
 let test_network_node_latency_selection () =
-  let _, net = make_net ~default_latency:Latency.wan () in
+  let _, net = make_net ~default_latency:Latency.wan ~dummy:() () in
   Network.place net 1 ~node:0;
   Network.place net 2 ~node:0;
   Network.place net 3 ~node:5;
@@ -146,10 +147,10 @@ let test_network_node_latency_selection () =
     (Latency.mean (Network.latency_between net ~src:3 ~dst:1))
 
 let test_network_delivery_time () =
-  let engine, net = make_net ~default_latency:(Latency.Constant 5e-3) () in
+  let engine, net = make_net ~default_latency:(Latency.Constant 5e-3) ~dummy:() () in
   Network.place net 1 ~node:1;
   let at = ref 0.0 in
-  Network.attach net 1 (fun ~src:_ () -> at := Engine.now engine);
+  Network.set_dispatcher net (fun ~dst:_ ~src:_ () -> at := Engine.now engine);
   Network.send net ~src:0 ~dst:1 ();
   ignore (Engine.run engine);
   Alcotest.(check (float 1e-9)) "constant latency applied" 5e-3 !at
@@ -162,63 +163,17 @@ let qcheck_fifo_property =
       let net =
         Network.create ~engine
           ~default_latency:(Latency.Lognormal { median = 1e-3; sigma = 2.0 })
-          ()
+          ~dummy:0 ()
       in
       Network.place net 0 ~node:0;
       Network.place net 1 ~node:1;
       let got = ref [] in
-      Network.attach net 1 (fun ~src:_ v -> got := v :: !got);
+      Network.set_dispatcher net (fun ~dst:_ ~src:_ v -> got := v :: !got);
       for i = 1 to n do
         Network.send net ~src:0 ~dst:1 i
       done;
       ignore (Engine.run engine);
       List.rev !got = List.init n (fun i -> i + 1))
-
-(* ----------------------------- Topology --------------------------- *)
-
-module Topology = Hope_net.Topology
-
-let mean_between net a b = Latency.mean (Network.latency_between net ~src:a ~dst:b)
-
-let test_topology_star () =
-  let _, net = make_net ~default_latency:Latency.wan () in
-  List.iteri (fun i addr -> Network.place net addr ~node:i) [ 0; 1; 2; 3 ];
-  Topology.star net ~hub:0 ~spokes:[ 1; 2; 3 ] ~latency:Latency.lan;
-  Alcotest.(check (float 1e-9)) "hub-spoke" (Latency.mean Latency.lan)
-    (mean_between net 0 2);
-  Alcotest.(check (float 1e-9)) "spoke-hub" (Latency.mean Latency.lan)
-    (mean_between net 3 0);
-  Alcotest.(check (float 1e-9)) "spoke-spoke keeps default"
-    (Latency.mean Latency.wan) (mean_between net 1 2)
-
-let test_topology_clusters () =
-  let _, net = make_net ~default_latency:Latency.wan () in
-  List.iter (fun n -> Network.place net n ~node:n) [ 0; 1; 2; 3 ];
-  Topology.clusters net ~members:[ [ 0; 1 ]; [ 2; 3 ] ] ~local:Latency.lan
-    ~cross:Latency.man;
-  Alcotest.(check (float 1e-9)) "intra-cluster" (Latency.mean Latency.lan)
-    (mean_between net 0 1);
-  Alcotest.(check (float 1e-9)) "inter-cluster" (Latency.mean Latency.man)
-    (mean_between net 1 2)
-
-let test_topology_chain () =
-  let _, net = make_net ~default_latency:Latency.wan () in
-  List.iter (fun n -> Network.place net n ~node:n) [ 0; 1; 2 ];
-  Topology.chain net ~nodes:[ 0; 1; 2 ] ~latency:Latency.lan;
-  Alcotest.(check (float 1e-9)) "adjacent" (Latency.mean Latency.lan)
-    (mean_between net 0 1);
-  Alcotest.(check (float 1e-9)) "non-adjacent keeps default"
-    (Latency.mean Latency.wan) (mean_between net 0 2)
-
-let test_topology_full_mesh () =
-  let _, net = make_net ~default_latency:Latency.wan () in
-  List.iter (fun n -> Network.place net n ~node:n) [ 0; 1; 2 ];
-  Topology.full_mesh net ~nodes:[ 0; 1; 2 ] ~latency:Latency.man;
-  List.iter
-    (fun (a, b) ->
-      Alcotest.(check (float 1e-9)) "mesh pair" (Latency.mean Latency.man)
-        (mean_between net a b))
-    [ (0, 1); (1, 0); (0, 2); (2, 1) ]
 
 let () =
   Alcotest.run "net"
@@ -234,18 +189,15 @@ let () =
       ( "network",
         [
           test "delivers" test_network_delivers;
-          test "backlog before attach" test_network_backlog_before_attach;
           test "FIFO per pair" test_network_fifo_per_pair;
           test "non-FIFO can reorder" test_network_non_fifo_can_reorder;
           test "latency selection by node/link" test_network_node_latency_selection;
           test "delivery time" test_network_delivery_time;
           QCheck_alcotest.to_alcotest qcheck_fifo_property;
         ] );
-      ( "topology",
+      ( "dispatch",
         [
-          test "star" test_topology_star;
-          test "clusters" test_topology_clusters;
-          test "chain" test_topology_chain;
-          test "full mesh" test_topology_full_mesh;
+          test "a delivery before set_dispatcher raises"
+            test_network_no_dispatcher_raises;
         ] );
     ]

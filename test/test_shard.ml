@@ -6,7 +6,6 @@
 module Mailbox = Hope_shard.Mailbox
 module Shard = Hope_shard.Shard
 module Context = Hope_sim.Context
-module Rng = Hope_sim.Rng
 module Engine = Hope_sim.Engine
 module Metrics = Hope_sim.Metrics
 module Telemetry = Hope_sim.Telemetry
@@ -75,31 +74,9 @@ let test_mailbox_cross_domain () =
 
 (* ----------------------------- Context ---------------------------- *)
 
-let test_context_owner_and_streams () =
+let test_context_owner () =
   Alcotest.(check int) "owner" 2 (Context.owner ~shards:4 6);
-  Alcotest.(check int) "single shard owns all" 0 (Context.owner ~shards:1 6);
-  (* per-shard RNG streams, as [Rng.split_n] children of one parent seed:
-     child [i] is deterministic in (seed, i) whatever the child count, and
-     the children are pairwise distinct *)
-  let stream ~children i =
-    let child = (Rng.split_n (Rng.create ~seed:7) children).(i) in
-    List.init 8 (fun _ -> Rng.bits64 child)
-  in
-  let streams = List.init 4 (fun i -> stream ~children:(i + 1) i) in
-  List.iteri
-    (fun i si ->
-      Alcotest.(check bool)
-        (Printf.sprintf "shard %d stream reproducible" i)
-        true
-        (si = stream ~children:4 i);
-      List.iteri
-        (fun j sj ->
-          if i < j then
-            Alcotest.(check bool)
-              (Printf.sprintf "shards %d/%d streams differ" i j)
-              true (si <> sj))
-        streams)
-    streams
+  Alcotest.(check int) "single shard owns all" 0 (Context.owner ~shards:1 6)
 
 (* ------------------------- Telemetry merge ------------------------ *)
 
@@ -456,7 +433,7 @@ let () =
           test "cross-domain SPSC under back-pressure" test_mailbox_cross_domain;
         ] );
       ( "context",
-        [ test "owner map and per-shard rng streams" test_context_owner_and_streams ] );
+        [ test "owner map" test_context_owner ] );
       ( "telemetry",
         [
           test "multi-engine install merges, idempotently"

@@ -131,6 +131,30 @@ let test_phold_hope_matches_sequential () =
         (hope.Phold.checksums = seq.Phold.checksums))
     [ 1; 2; 3 ]
 
+(* The whole outcome of one Time Warp run, pinned (floats exactly): the
+   engine events behind [kick], [send_event] and [send_anti] must pop in
+   the same order, so counts, physical time and every LP's checksum
+   cannot move. The values are those of hope_sim's
+   [phold --engine timewarp --horizon 40 --lps 16 --jobs 64]. *)
+let test_phold_timewarp_outcome_pinned () =
+  let o =
+    Phold.run_timewarp ~seed:42
+      { Phold.default_params with n_lps = 16; jobs = 64; horizon = 40.0 }
+  in
+  Alcotest.(check (array int)) "checksums"
+    [|
+      942868193; 875371419; 270055739; 509838179; 867216135; 420333854;
+      627137181; 439842906; 556532009; 470564714; 764205577; 986995772;
+      976580061; 504577353; 370713547; 413805328;
+    |]
+    o.Phold.checksums;
+  Alcotest.(check int) "committed events" 2618 o.Phold.handled_total;
+  Alcotest.(check int) "executed" 5909 o.Phold.processed;
+  Alcotest.(check int) "rollbacks" 1822 o.Phold.rollbacks;
+  Alcotest.(check int) "messages" 5843 o.Phold.messages;
+  Alcotest.(check (float 0.0)) "physical time" 0x1.bb81212b918b9p-6
+    o.Phold.physical_time
+
 let test_output_timestamp_validation () =
   let engine = Engine.create ~seed:8 () in
   let bad_model =
@@ -167,6 +191,7 @@ let () =
           test "single chain processes in order" test_single_chain_in_order;
           test "forced straggler rolls back" test_straggler_forced;
           test "output timestamp validated" test_output_timestamp_validation;
+          test "16-LP PHOLD outcome pinned" test_phold_timewarp_outcome_pinned;
         ] );
       ( "reference",
         [
